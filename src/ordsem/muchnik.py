@@ -84,10 +84,7 @@ def muchnik_ops(a: MassProblem, b: MassProblem) -> MuchnikOps:
             jmask |= 1 << joined(f, g)
     imask = 0
     for g in range(poset.n):
-        if all(
-            any(poset.leq(h, poset.elements[joined(f, g)]) for h in b.members)
-            for f in bits(a.mask)
-        ):
+        if all(poset.down[joined(f, g)] & b.mask for f in bits(a.mask)):
             imask |= 1 << g
     return MuchnikOps(
         join=MassProblem(poset, jmask),

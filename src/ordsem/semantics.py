@@ -2,8 +2,8 @@
 
 A formula holds in a Brouwer algebra when it evaluates to 0: conjunction
 lands on the lattice join, disjunction on the meet and falsum on 1.  On a
-frame the same formula is checked by intuitionistic forcing over upset
-valuations; the two routes define the same theory.
+frame, forcing is evaluation in the upset algebra, run on upset masks by
+the same compiled program; the two routes define the same theory.
 
 Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
@@ -13,66 +13,90 @@ proves non-membership, while "valid up to the bound" is exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Mapping, Union
 
-from .brouwer import BrouwerAlgebra
+from .brouwer import BrouwerAlgebra, impl_mask
 from .errors import CapacityError, InputError, ValuationError
 from .formulas import And, Bot, Formula, Imp, Or, Var, free_vars, subformulas
 from .order import Poset, Upset, upset_masks
 
 MAX_VALUATIONS = 2_000_000
 
+# Opcodes index the (join, meet, impl) tables of an algebra.
+_AND, _OR, _IMP = 0, 1, 2
+_OPCODE = {And: _AND, Or: _OR, Imp: _IMP}
+
+Structure = Union[BrouwerAlgebra, Poset]
+
+
+def _compile(f: Formula) -> tuple[list[str], list[tuple[int, int, int]], int]:
+    """Post-order straight-line program for f: (names, steps, root).
+
+    Slots 0..k-1 hold the sorted variables and slot k falsum; step i reads
+    two earlier slots and writes slot k+1+i.  f's value ends in ``root``.
+    """
+    names = sorted(free_vars(f))
+    index = {name: i for i, name in enumerate(names)}
+    bot = len(names)
+    steps: list[tuple[int, int, int]] = []
+
+    def walk(g: Formula) -> int:
+        if isinstance(g, Var):
+            return index[g.name]
+        if isinstance(g, Bot):
+            return bot
+        a = walk(g.left)
+        b = walk(g.right)
+        steps.append((_OPCODE[type(g)], a, b))
+        return bot + len(steps)
+
+    return names, steps, walk(f)
+
+
+def _backend(structure: Structure) -> tuple[tuple | None, int, int]:
+    """(tables, falsum, designated value); frames compute on upset masks."""
+    if isinstance(structure, BrouwerAlgebra):
+        return (structure.join, structure.meet, structure.impl), structure.top, structure.bottom
+    if isinstance(structure, Poset):
+        return None, 0, structure.full_mask
+    raise InputError(f"cannot compute a theory over {type(structure).__name__}")
+
+
+def _run(steps: list, root: int, slots: list, tables: tuple | None, structure: Structure) -> int:
+    """Run a program from its filled variable and falsum slots."""
+    for op, a, b in steps:
+        x, y = slots[a], slots[b]
+        if tables is not None:
+            slots.append(tables[op][x][y])
+        elif op == _AND:
+            slots.append(x & y)
+        elif op == _OR:
+            slots.append(x | y)
+        else:
+            slots.append(impl_mask(structure, x, y))
+    return slots[root]
+
+
+def _evaluate(structure: Structure, f: Formula, env: Mapping[str, int]) -> int:
+    names, steps, root = _compile(f)
+    tables, bot, _ = _backend(structure)
+    try:
+        slots = [env[name] for name in names]
+    except KeyError as exc:
+        raise ValuationError(f"no value for variable {exc.args[0]!r}") from None
+    return _run(steps, root, slots + [bot], tables, structure)
+
 
 def eval_algebra(f: Formula, algebra: BrouwerAlgebra, valuation: Mapping[str, str]) -> str:
     """Fold the formula through the algebra's tables; returns a carrier label."""
     env = {name: algebra.index_of(label) for name, label in valuation.items()}
-    return algebra.carrier[_eval_index(f, algebra, env)]
-
-
-def _eval_index(f: Formula, algebra: BrouwerAlgebra, env: Mapping[str, int]) -> int:
-    if isinstance(f, Var):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise ValuationError(f"no value for variable {f.name!r}") from None
-    if isinstance(f, Bot):
-        return algebra.top
-    a = _eval_index(f.left, algebra, env)
-    b = _eval_index(f.right, algebra, env)
-    if isinstance(f, And):
-        return algebra.join[a][b]
-    if isinstance(f, Or):
-        return algebra.meet[a][b]
-    return algebra.impl[a][b]
+    return algebra.carrier[_evaluate(algebra, f, env)]
 
 
 def holds_in(algebra: BrouwerAlgebra, f: Formula, valuation: Mapping[str, str]) -> bool:
     env = {name: algebra.index_of(label) for name, label in valuation.items()}
-    return _eval_index(f, algebra, env) == algebra.bottom
-
-
-def _forced_mask(frame: Poset, f: Formula, env: Mapping[str, int]) -> int:
-    """Mask of the points forcing f; always an upset by persistence."""
-    if isinstance(f, Var):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise ValuationError(f"no value for variable {f.name!r}") from None
-    if isinstance(f, Bot):
-        return 0
-    a = _forced_mask(frame, f.left, env)
-    b = _forced_mask(frame, f.right, env)
-    if isinstance(f, And):
-        return a & b
-    if isinstance(f, Or):
-        return a | b
-    out = 0
-    for x in range(frame.n):
-        if not (frame.up[x] & a & ~b):
-            out |= 1 << x
-    return out
+    return _evaluate(algebra, f, env) == algebra.bottom
 
 
 def forced_upset(frame: Poset, valuation: Mapping[str, Upset], f: Formula) -> Upset:
@@ -82,7 +106,7 @@ def forced_upset(frame: Poset, valuation: Mapping[str, Upset], f: Formula) -> Up
         if upset.poset != frame:
             raise InputError(f"valuation of {name!r} lives on a different frame")
         env[name] = upset.mask
-    return Upset(frame, _forced_mask(frame, f, env))
+    return Upset(frame, _evaluate(frame, f, env))
 
 
 def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula) -> bool:
@@ -91,7 +115,35 @@ def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula)
     return (forced_upset(frame, valuation, f).mask >> i) & 1 == 1
 
 
-Structure = Union[BrouwerAlgebra, Poset]
+_MISSING = object()
+# (structure, formula) -> first refuting choice of values, or None.
+_refutations: dict = {}
+
+
+def _first_refutation(
+    structure: Structure, f: Formula, max_valuations: int
+) -> dict[str, int] | None:
+    """First valuation in canonical order under which f is not designated.
+
+    Canonical order is the product, over the sorted variable names, of the
+    carrier indices (algebra) or the ascending upset masks (frame).  The
+    guard is checked before the cache, so it holds for cached answers too.
+    """
+    names, steps, root = _compile(f)
+    tables, bot, designated = _backend(structure)
+    values = upset_masks(structure) if tables is None else range(structure.n)
+    if len(values) ** len(names) > max_valuations:
+        raise CapacityError(f"valuation guard: {len(values)}^{len(names)} exceeds {max_valuations}")
+    key = (structure, f)
+    found = _refutations.get(key, _MISSING)
+    if found is _MISSING:
+        found = None
+        for choice in product(values, repeat=len(names)):
+            if _run(steps, root, [*choice, bot], tables, structure) != designated:
+                found = choice
+                break
+        _refutations[key] = found
+    return None if found is None else dict(zip(names, found))
 
 
 def theory_contains(structure: Structure, f: Formula, *, max_valuations: int = MAX_VALUATIONS) -> bool:
@@ -100,70 +152,20 @@ def theory_contains(structure: Structure, f: Formula, *, max_valuations: int = M
     Algebra mode evaluates through the tables; frame mode quantifies over
     upset valuations and demands forcing at every point.
     """
-    if isinstance(structure, BrouwerAlgebra):
-        return _theory_algebra(structure, f, max_valuations)
-    if isinstance(structure, Poset):
-        return _theory_frame(structure, f, max_valuations)
-    raise InputError(f"cannot compute a theory over {type(structure).__name__}")
-
-
-def _guard(values: int, names: int, max_valuations: int) -> None:
-    if values**names > max_valuations:
-        raise CapacityError(
-            f"valuation guard: {values}^{names} exceeds {max_valuations}"
-        )
-
-
-@lru_cache(maxsize=None)
-def _theory_algebra_cached(algebra: BrouwerAlgebra, f: Formula) -> bool:
-    names = sorted(free_vars(f))
-    _guard(algebra.n, len(names), MAX_VALUATIONS)
-    for choice in product(range(algebra.n), repeat=len(names)):
-        if _eval_index(f, algebra, dict(zip(names, choice))) != algebra.bottom:
-            return False
-    return True
-
-
-def _theory_algebra(algebra: BrouwerAlgebra, f: Formula, max_valuations: int) -> bool:
-    names = sorted(free_vars(f))
-    _guard(algebra.n, len(names), max_valuations)
-    return _theory_algebra_cached(algebra, f)
-
-
-@lru_cache(maxsize=None)
-def _theory_frame_cached(frame: Poset, f: Formula) -> bool:
-    names = sorted(free_vars(f))
-    masks = upset_masks(frame)
-    _guard(len(masks), len(names), MAX_VALUATIONS)
-    full = frame.full_mask
-    for choice in product(masks, repeat=len(names)):
-        if _forced_mask(frame, f, dict(zip(names, choice))) != full:
-            return False
-    return True
-
-
-def _theory_frame(frame: Poset, f: Formula, max_valuations: int) -> bool:
-    names = sorted(free_vars(f))
-    _guard(len(upset_masks(frame)), len(names), max_valuations)
-    return _theory_frame_cached(frame, f)
+    return _first_refutation(structure, f, max_valuations) is None
 
 
 def frame_witness(
     frame: Poset, f: Formula, *, max_valuations: int = MAX_VALUATIONS
 ) -> tuple[dict[str, Upset], str] | None:
     """First refuting (valuation, point) in canonical order, or None."""
-    names = sorted(free_vars(f))
-    masks = upset_masks(frame)
-    _guard(len(masks), len(names), max_valuations)
-    full = frame.full_mask
-    for choice in product(masks, repeat=len(names)):
-        env = dict(zip(names, choice))
-        forced = _forced_mask(frame, f, env)
-        if forced != full:
-            point = next(i for i in range(frame.n) if not (forced >> i) & 1)
-            valuation = {n: Upset(frame, m) for n, m in env.items()}
-            return valuation, frame.elements[point]
-    return None
+    env = _first_refutation(frame, f, max_valuations)
+    if env is None:
+        return None
+    valuation = {name: Upset(frame, mask) for name, mask in env.items()}
+    forced = forced_upset(frame, valuation, f).mask
+    point = next(i for i in range(frame.n) if not (forced >> i) & 1)
+    return valuation, frame.elements[point]
 
 
 def binary_tree_frame(height: int) -> Poset:
@@ -278,15 +280,11 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
                         current.add(close(a, p0, p1))
         level_profiles |= current
         if any(not (p & goal_bit) for p in level_profiles):
-            return _extract_countermodel(f, k, max_valuations)
+            frame = binary_tree_frame(k)
+            witness = frame_witness(frame, f, max_valuations=max_valuations)
+            if witness is None:  # profile closure said refutable; enumeration must agree
+                raise InputError("internal disagreement between profile search and enumeration")
+            valuation, point = witness
+            return Countermodel(f, frame, valuation, point, k)
         previous = current
     return ValidUpToBound(f, max_height)
-
-
-def _extract_countermodel(f: Formula, height: int, max_valuations: int) -> Countermodel:
-    frame = binary_tree_frame(height)
-    witness = frame_witness(frame, f, max_valuations=max_valuations)
-    if witness is None:  # profile closure said refutable; enumeration must agree
-        raise InputError("internal disagreement between profile search and enumeration")
-    valuation, point = witness
-    return Countermodel(f, frame, valuation, point, height)

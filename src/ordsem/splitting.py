@@ -91,6 +91,13 @@ def antichain_to_json(a: Antichain) -> list[list[int]]:
     return [list(s) for s in sorted(a)]
 
 
+def _element_json(structure: SplittingStructure, element: object) -> object:
+    """Antichains as sequence lists; any other element by its description."""
+    if isinstance(element, frozenset):
+        return antichain_to_json(element)
+    return structure.describe(element)
+
+
 def antichain_from_json(data: object) -> Antichain:
     if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
         raise InputError("antichain literal must be a list of integer sequences")
@@ -407,7 +414,7 @@ class PartialHomomorphism:
         return {
             "height": self.height,
             "pairs": [
-                {"element": antichain_to_json(e), "image": img}
+                {"element": _element_json(self.structure, e), "image": img}
                 for e, img in self.pairs.items()
             ],
         }
@@ -434,12 +441,10 @@ def build_pmorphism(
     def place(element: object, image: str, stage: str) -> None:
         alpha.check_new_pair(element, image)
         alpha.pairs[element] = image
-        entry = {"stage": stage, "action": "place", "image": image}
-        if isinstance(element, frozenset):
-            entry["element"] = antichain_to_json(element)
-        else:
-            entry["element"] = structure.describe(element)
-        alpha.trace.append(entry)
+        element_json = _element_json(structure, element)
+        alpha.trace.append(
+            {"stage": stage, "action": "place", "image": image, "element": element_json}
+        )
 
     place(structure.least(), "", "R0")
 
@@ -561,10 +566,6 @@ def pmorphism_of(alpha: PartialHomomorphism) -> PMorphism:
     source = Poset(labels, tuple(cones))
     mapping = tuple(target.index_of(alpha.pairs[e]) for e in closed)
     return PMorphism(source, target, mapping)
-
-
-def partial_hom_dumps(alpha: PartialHomomorphism) -> str:
-    return json.dumps(alpha.to_json(), sort_keys=True)
 
 
 def trace_lines(alpha: PartialHomomorphism) -> str:

@@ -181,6 +181,70 @@ class TestExportDot:
         assert main(["export-dot", "frame", fork_path, "-o", "/nonexistent/x.dot"]) == 2
 
 
+FORK = {"elements": ["r", "l", "k"], "leq": [["r", "l"], ["r", "k"]]}
+DIAMOND = {
+    "elements": ["bot", "m1", "m2", "top"],
+    "leq": [["bot", "m1"], ["bot", "m2"], ["m1", "top"], ["m2", "top"]],
+}
+
+# Byte-exact --json stdout, frozen from the two-evaluator implementation.
+GOLDEN = [
+    pytest.param(
+        ["theory", "(p -> q) | (q -> p)", "--frame", "fork"],
+        1,
+        '{"formula": "(p -> q) | (q -> p)", "holds": false, "mode": "frame", '
+        '"witness": {"point": "r", "valuation": {"p": ["l"], "q": ["k"]}}}\n',
+        id="theory-refuted-witness",
+    ),
+    pytest.param(
+        ["theory", "~p | ~~p", "--frame", "diamond"],
+        0,
+        '{"formula": "~p | ~~p", "holds": true, "mode": "frame"}\n',
+        id="theory-holds",
+    ),
+    pytest.param(
+        ["check", "~p | ~~p", "--frame", "fork", "--mode", "algebra"],
+        1,
+        '{"formula": "~p | ~~p", "holds": false}\n',
+        id="check-mode-algebra",
+    ),
+    pytest.param(
+        ["check", "(p -> q) | (q -> p)", "--algebra", "diamond"],
+        1,
+        '{"formula": "(p -> q) | (q -> p)", "holds": false}\n',
+        id="check-algebra-input",
+    ),
+    pytest.param(
+        ["ipc", "((p -> q) -> p) -> p", "--max-height", "3"],
+        1,
+        '{"formula": "((p -> q) -> p) -> p", "frame": {"elements": ["", "0", "1"], '
+        '"leq": [["", "0"], ["", "1"]]}, "height": 2, "point": "", '
+        '"result": "countermodel", "valuation": {"p": ["0", "1"], "q": []}}\n',
+        id="ipc-peirce",
+    ),
+    pytest.param(
+        ["ipc", "(p -> q) | (q -> p)", "--max-height", "3"],
+        1,
+        '{"formula": "(p -> q) | (q -> p)", "frame": {"elements": ["", "0", "1"], '
+        '"leq": [["", "0"], ["", "1"]]}, "height": 2, "point": "", '
+        '"result": "countermodel", "valuation": {"p": ["0"], "q": ["1"]}}\n',
+        id="ipc-linearity",
+    ),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv, code, stdout", GOLDEN)
+    def test_json_stdout_is_byte_identical(self, argv, code, stdout, tmp_path, capsys):
+        paths = {}
+        for name, poset in (("fork", FORK), ("diamond", DIAMOND)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(poset))
+        argv = [str(paths[a]) if a in paths else a for a in argv]
+        assert main(argv + ["--json"]) == code
+        assert capsys.readouterr().out == stdout
+
+
 class TestUsage:
     def test_check_needs_structure(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from ordsem import semantics
 from ordsem.brouwer import upset_algebra
 from ordsem.corpus import (
     BOUNDED_REFUTED,
@@ -18,7 +19,7 @@ from ordsem.corpus import (
     parsed,
 )
 from ordsem.errors import CapacityError, InputError, ValuationError
-from ordsem.formulas import parse
+from ordsem.formulas import And, Bot, Or, Var, free_vars, parse
 from ordsem.order import Upset, enumerate_upsets, generate_posets, upset_masks, upward_closure
 from ordsem.semantics import (
     Countermodel,
@@ -36,7 +37,7 @@ from ordsem.semantics import (
 
 def first_refutation(frame, formula):
     """Independent oracle: scan valuations in canonical order via `forces`."""
-    names = sorted(_vars_of(formula))
+    names = sorted(free_vars(formula))
     masks = upset_masks(frame)
     for choice in product(masks, repeat=len(names)):
         valuation = {n: Upset(frame, m) for n, m in zip(names, choice)}
@@ -46,10 +47,21 @@ def first_refutation(frame, formula):
     return None
 
 
-def _vars_of(formula):
-    from ordsem.formulas import free_vars
-
-    return free_vars(formula)
+def pointwise_forces(frame, x, env, f):
+    """Independent oracle: Kripke's clauses read at point x (env: name -> mask)."""
+    if isinstance(f, Var):
+        return (env[f.name] >> x) & 1 == 1
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, And):
+        return pointwise_forces(frame, x, env, f.left) and pointwise_forces(frame, x, env, f.right)
+    if isinstance(f, Or):
+        return pointwise_forces(frame, x, env, f.left) or pointwise_forces(frame, x, env, f.right)
+    return all(
+        not pointwise_forces(frame, y, env, f.left) or pointwise_forces(frame, y, env, f.right)
+        for y in range(frame.n)
+        if (frame.up[x] >> y) & 1
+    )
 
 
 class TestEvalAlgebra:
@@ -152,6 +164,32 @@ class TestTheory:
     def test_capacity_guard(self, fork):
         with pytest.raises(CapacityError):
             theory_contains(fork, parse("p -> q"), max_valuations=3)
+
+    def test_caller_guard_overrides_module_default(self, fork, monkeypatch):
+        # 5 upsets, 2 variables: 25 valuations
+        monkeypatch.setattr(semantics, "MAX_VALUATIONS", 10)
+        assert theory_contains(fork, parse("p -> q"), max_valuations=1000) is False
+        with pytest.raises(CapacityError):
+            theory_contains(fork, parse("p -> q"), max_valuations=24)
+
+    def test_pointwise_forcing_oracle(self):
+        # every poset on <= 3 elements x MIXED_CORPUS x every valuation
+        corpus = parsed(MIXED_CORPUS)
+        for poset in (p for n in (1, 2, 3) for p in generate_posets(n)):
+            masks = upset_masks(poset)
+            algebra = upset_algebra(poset)
+            for formula in corpus:
+                names = sorted(free_vars(formula))
+                for choice in product(masks, repeat=len(names)):
+                    env = dict(zip(names, choice))
+                    expected = sum(
+                        1 << x for x in range(poset.n) if pointwise_forces(poset, x, env, formula)
+                    )
+                    valuation = {n: Upset(poset, m) for n, m in env.items()}
+                    assert forced_upset(poset, valuation, formula).mask == expected
+                    labels = {n: algebra.carrier[masks.index(m)] for n, m in env.items()}
+                    value = eval_algebra(formula, algebra, labels)
+                    assert masks[algebra.index_of(value)] == expected
 
 
 class TestBinaryTree:

@@ -8,6 +8,7 @@ from ordsem.errors import InputError, InvariantViolation, StagingError
 from ordsem.morphism import verify_pmorphism
 from ordsem.splitting import (
     PartialHomomorphism,
+    SplittingStructure,
     SyntheticAntichainModel,
     antichain_from_json,
     antichain_label,
@@ -37,6 +38,39 @@ def bounded_universe():
             if reduce_antichain(combo) == frozenset(combo):
                 out.append(frozenset(combo))
     return out
+
+
+class SortedTupleModel(SplittingStructure):
+    """The antichain model with elements held as sorted tuples, not frozensets."""
+
+    def __init__(self):
+        self.inner = SyntheticAntichainModel()
+
+    @staticmethod
+    def wrap(a):
+        return tuple(sorted(a))
+
+    def least(self):
+        return self.wrap(self.inner.least())
+
+    def enumerate(self, i):
+        return self.wrap(self.inner.enumerate(i))
+
+    def leq(self, a, b):
+        return self.inner.leq(frozenset(a), frozenset(b))
+
+    def join(self, a, b):
+        return self.wrap(self.inner.join(frozenset(a), frozenset(b)))
+
+    def in_class(self, x):
+        return len(x) == 1
+
+    def split(self, f, avoid):
+        h0, h1 = self.inner.split(frozenset(f), frozenset(frozenset(g) for g in avoid))
+        return self.wrap(h0), self.wrap(h1)
+
+    def describe(self, x):
+        return antichain_label(frozenset(x))
 
 
 class TestAmbientOrder:
@@ -337,3 +371,11 @@ class TestSerialization:
         data = alpha.to_json()
         assert data["height"] == 2
         assert all({"element", "image"} <= set(p) for p in data["pairs"])
+
+    def test_non_antichain_elements_encode_by_description(self):
+        model = SortedTupleModel()
+        alpha = build_pmorphism(model, 2, 3)
+        pairs = alpha.to_json()["pairs"]
+        assert [p["element"] for p in pairs] == [model.describe(e) for e in alpha.pairs]
+        placed = [entry["element"] for entry in alpha.trace if entry["action"] == "place"]
+        assert placed == [p["element"] for p in pairs]
