@@ -11,13 +11,23 @@ Grammar (ASCII, loosest to tightest):
 
 ``~f`` is sugar for ``f -> bot``; the printer reintroduces it, so
 parse(print(ast)) is the identity on ASTs.
+
+`parse` rejects input nested deeper than MAX_DEPTH: more than that many
+open parentheses, negations and implication right-hand sides around any
+token, or a syntax tree taller than that.  The parser and every walk over
+a formula recurse once per level, and the parser spends six interpreter
+frames per parenthesis, so the limit keeps well inside Python's default
+recursion limit of 1000; the corpora nest five levels deep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InputError
+
+MAX_DEPTH = 100
 
 
 class Formula:
@@ -132,6 +142,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -143,11 +154,21 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def nested(self, parse_inner: Callable[[], Formula]) -> Formula:
+        """One recursive step of the parser, at most MAX_DEPTH deep."""
+        if self.depth == MAX_DEPTH:
+            offset = self.peek()[2]
+            raise ParseError(f"nested deeper than {MAX_DEPTH}", offset, ("shallower input",))
+        self.depth += 1
+        out = parse_inner()
+        self.depth -= 1
+        return out
+
     def formula(self) -> Formula:
         left = self.or_expr()
         if self.peek()[0] == "->":
             self.take("->")
-            return Imp(left, self.formula())
+            return Imp(left, self.nested(self.formula))
         return left
 
     def or_expr(self) -> Formula:
@@ -168,7 +189,7 @@ class _Parser:
         kind, _, _ = self.peek()
         if kind == "~":
             self.take("~")
-            return neg(self.neg_expr())
+            return neg(self.nested(self.neg_expr))
         return self.atom()
 
     def atom(self) -> Formula:
@@ -181,7 +202,7 @@ class _Parser:
             return BOT
         if kind == "(":
             self.take("(")
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.take(")")
             return inner
         raise ParseError(f"unexpected {kind}", offset, ("ident", "bot", "~", "("))
@@ -193,7 +214,21 @@ def parse(text: str) -> Formula:
     kind, _, offset = parser.peek()
     if kind != "eof":
         raise ParseError(f"trailing {kind}", offset, ("eof",))
+    # a tree has fewer connectives than the input has tokens
+    if len(parser.tokens) > MAX_DEPTH and _height(out) > MAX_DEPTH:
+        raise ParseError(f"syntax tree taller than {MAX_DEPTH}", 0, ("shallower input",))
     return out
+
+
+def _height(f: Formula) -> int:
+    """Longest root-to-leaf path in connectives; iterative, so any height is safe."""
+    tallest, stack = 0, [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        tallest = max(tallest, depth)
+        if isinstance(g, (And, Or, Imp)):
+            stack += [(g.left, depth + 1), (g.right, depth + 1)]
+    return tallest
 
 
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_ATOM = 1, 2, 3, 4

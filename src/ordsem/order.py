@@ -304,9 +304,10 @@ def poset_from_json(data: object) -> Poset:
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise InputError('"elements" must be a list of strings')
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
+        isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
+        for p in pairs
     ):
-        raise InputError('"leq" must be a list of [a, b] pairs')
+        raise InputError('"leq" must be a list of [a, b] pairs of element labels')
     return from_relation(elements, [(a, b) for a, b in pairs])
 
 

@@ -63,12 +63,20 @@ class SplittingStructure(ABC):
         """Two class elements above f whose join leaves the class, with
         all joins against `avoid` leaving the class as well."""
 
+    def joins_in_class(self, a: object, b: object) -> bool:
+        """Whether join(a, b) lies in the class.
+
+        Contract: equal to ``in_class(join(a, b))`` for all ambient a, b;
+        override it only with a cheaper test of that same predicate.
+        """
+        return self.in_class(self.join(a, b))
+
     def describe(self, x: object) -> str:
         return repr(x)
 
 
 def is_prefix(s: Seq, t: Seq) -> bool:
-    return len(s) <= len(t) and t[: len(s)] == s
+    return t[: len(s)] == s
 
 
 def reduce_antichain(seqs: Iterable[Seq]) -> Antichain:
@@ -107,10 +115,6 @@ def antichain_from_json(data: object) -> Antichain:
     if not out:
         raise InputError("antichains must be non-empty")
     return out
-
-
-def _weight(s: Seq) -> int:
-    return len(s) + sum(s)
 
 
 def _spine() -> Iterable[Seq]:
@@ -157,10 +161,21 @@ class SyntheticAntichainModel(SplittingStructure):
         return isinstance(x, frozenset) and len(x) == 1
 
     def leq(self, a: Antichain, b: Antichain) -> bool:
+        # the construction's hottest call: is_prefix written out for singletons
+        if len(a) == 1 == len(b):
+            (s,), (t,) = a, b
+            return t[: len(s)] == s
         return all(any(is_prefix(s, t) for t in b) for s in a)
 
     def join(self, a: Antichain, b: Antichain) -> Antichain:
         return reduce_antichain(a | b)
+
+    def joins_in_class(self, a: Antichain, b: Antichain) -> bool:
+        # {s} and {t} join to a singleton exactly when one sequence extends the other
+        if len(a) == 1 == len(b):
+            (s,), (t,) = a, b
+            return t[: len(s)] == s or s[: len(t)] == t
+        return super().joins_in_class(a, b)
 
     def _the(self, f: Antichain) -> Seq:
         (s,) = f
@@ -263,12 +278,12 @@ def check_split_conditions(
         if not structure.leq(f, h):
             violations.append(f"{name} is not above f")
     checked += 1
-    if structure.in_class(structure.join(h0, h1)):
+    if structure.joins_in_class(h0, h1):
         violations.append("join(h0, h1) stays in the class")
     for g in avoid:
         for name, h in (("h0", h0), ("h1", h1)):
             checked += 1
-            if structure.in_class(structure.join(g, h)):
+            if structure.joins_in_class(g, h):
                 violations.append(
                     f"join({structure.describe(g)}, {name}) stays in the class"
                 )
@@ -365,49 +380,40 @@ class PartialHomomorphism:
     def covered_nodes(self) -> set[str]:
         return set(self.pairs.values())
 
+    def _pair_violations(self, x: object, ix: str, y: object, iy: str) -> list[str]:
+        """Both invariants on a pair with images ix, iy; the one predicate
+        behind check_new_pair and check_invariants.  Images are tested first."""
+        s = self.structure
+        out = []
+        for u, iu, v, iv in ((x, ix, y, iy), (y, iy, x, ix)):
+            if not iv.startswith(iu) and s.leq(u, v):
+                out.append(
+                    f"order homomorphism broken: {s.describe(u)} <= {s.describe(v)} "
+                    f"but {iu!r} is not a prefix of {iv!r}"
+                )
+        if not ix.startswith(iy) and not iy.startswith(ix) and s.joins_in_class(x, y):
+            out.append(
+                f"incomparability invariant broken: images {ix!r} | {iy!r} but "
+                f"join({s.describe(x)}, {s.describe(y)}) stays in the class"
+            )
+        return out
+
     def check_new_pair(self, element: object, image: str) -> None:
         """Both invariants against the existing pairs, before insertion."""
-        s = self.structure
         for other, other_image in self.pairs.items():
-            if s.leq(other, element) and not image.startswith(other_image):
-                raise InvariantViolation(
-                    f"order homomorphism broken: {s.describe(other)} <= "
-                    f"{s.describe(element)} but {other_image!r} is not a prefix of {image!r}"
-                )
-            if s.leq(element, other) and not other_image.startswith(image):
-                raise InvariantViolation(
-                    f"order homomorphism broken: {s.describe(element)} <= "
-                    f"{s.describe(other)} but {image!r} is not a prefix of {other_image!r}"
-                )
-            incomparable = not image.startswith(other_image) and not other_image.startswith(image)
-            if incomparable and s.in_class(s.join(element, other)):
-                raise InvariantViolation(
-                    f"incomparability invariant broken: images {image!r} | "
-                    f"{other_image!r} but join({s.describe(element)}, "
-                    f"{s.describe(other)}) stays in the class"
-                )
+            violations = self._pair_violations(other, other_image, element, image)
+            if violations:
+                raise InvariantViolation(violations[0])
 
     def check_invariants(self) -> Report:
         """Full pairwise re-check of both invariants (non-incremental)."""
-        s = self.structure
         items = list(self.pairs.items())
         violations: list[str] = []
         checked = 0
         for i, (a, ia) in enumerate(items):
             for b, ib in items[i + 1 :]:
                 checked += 2
-                for (x, ix), (y, iy) in (((a, ia), (b, ib)), ((b, ib), (a, ia))):
-                    if s.leq(x, y) and not iy.startswith(ix):
-                        violations.append(
-                            f"order homomorphism broken on "
-                            f"({s.describe(x)}, {s.describe(y)})"
-                        )
-                if not ia.startswith(ib) and not ib.startswith(ia):
-                    if s.in_class(s.join(a, b)):
-                        violations.append(
-                            f"incomparability invariant broken on "
-                            f"({s.describe(a)}, {s.describe(b)})"
-                        )
+                violations.extend(self._pair_violations(a, ia, b, ib))
         return Report(checked=checked, violations=tuple(violations))
 
     def to_json(self) -> dict:
@@ -437,10 +443,12 @@ def build_pmorphism(
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
     alpha = PartialHomomorphism(structure, height)
+    preimages: dict[str, list] = {}  # image -> placed elements, in placement order
 
     def place(element: object, image: str, stage: str) -> None:
         alpha.check_new_pair(element, image)
         alpha.pairs[element] = image
+        preimages.setdefault(image, []).append(element)
         element_json = _element_json(structure, element)
         alpha.trace.append(
             {"stage": stage, "action": "place", "image": image, "element": element_json}
@@ -474,13 +482,10 @@ def build_pmorphism(
             )
             continue
         child0, child1 = image + "0", image + "1"
-        satisfied0 = any(
-            img == child0 and structure.leq(a, e) for e, img in alpha.pairs.items()
-        )
-        satisfied1 = any(
-            img == child1 and structure.leq(a, e) for e, img in alpha.pairs.items()
-        )
-        if satisfied0 and satisfied1:
+        if all(
+            any(structure.leq(a, e) for e in preimages.get(child, ()))
+            for child in (child0, child1)
+        ):
             alpha.trace.append(
                 {"stage": f"R{2 * k + 2}", "action": "skip-satisfied", "image": image}
             )
@@ -517,30 +522,22 @@ def _closed_domain(alpha: PartialHomomorphism) -> list:
     descends through finished children exactly as in the limit argument.
     """
     s = alpha.structure
-    items = list(alpha.pairs.items())
-    closed: dict = {}
-    changed = True
-    while changed:
-        changed = False
-        for element, image in items:
-            if element in closed:
-                continue
-            if len(image) == alpha.height - 1:
-                closed[element] = image
-                changed = True
-                continue
-            have0 = any(
-                img == image + "0" and e in closed and s.leq(element, e)
-                for e, img in items
-            )
-            have1 = any(
-                img == image + "1" and e in closed and s.leq(element, e)
-                for e, img in items
-            )
-            if have0 and have1:
-                closed[element] = image
-                changed = True
-    return [e for e, _ in items if e in closed]
+    preimages: dict[str, list] = {}
+    for element, image in alpha.pairs.items():
+        preimages.setdefault(image, []).append(element)
+    # A child's image is one letter longer, so visiting images longest first
+    # settles every child before its parent: one pass reaches the fixpoint.
+    closed: set = set()
+    for image in sorted(preimages, key=len, reverse=True):
+        children = [
+            [e for e in preimages.get(image + letter, ()) if e in closed] for letter in "01"
+        ]
+        for element in preimages[image]:
+            if len(image) == alpha.height - 1 or all(
+                any(s.leq(element, e) for e in above) for above in children
+            ):
+                closed.add(element)
+    return [e for e in alpha.pairs if e in closed]
 
 
 def pmorphism_of(alpha: PartialHomomorphism) -> PMorphism:

@@ -1,5 +1,6 @@
 """Exit-code contract, JSON output and the documented pipelines."""
 
+import hashlib
 import json
 
 import pytest
@@ -36,6 +37,13 @@ class TestUpsets:
 
     def test_missing_file_exits_two(self):
         assert main(["upsets", "/nonexistent/nope.json"]) == 2
+
+    def test_non_string_leq_member_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"elements": ["a", "b"], "leq": [["a", ["b"]]]}))
+        assert main(["upsets", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestAlgebra:
@@ -83,6 +91,16 @@ class TestCheckAndTheory:
 
     def test_parse_error_exits_two(self, chain_path):
         assert main(["check", "p ->", "--frame", chain_path]) == 2
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["~" * 5000 + "p", "(" * 3000 + "p" + ")" * 3000, "p&" * 3000 + "p"],
+        ids=["negations", "parentheses", "conjunctions"],
+    )
+    def test_deep_formula_exits_two(self, formula, chain_path, capsys):
+        assert main(["check", formula, "--frame", chain_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestIpc:
@@ -243,6 +261,20 @@ class TestGolden:
         argv = [str(paths[a]) if a in paths else a for a in argv]
         assert main(argv + ["--json"]) == code
         assert capsys.readouterr().out == stdout
+
+    def test_split_build_stdout_and_trace(self, tmp_path, capsys):
+        # sha256 of the bytes written before the comparability hook and the
+        # image index existed
+        trace = tmp_path / "trace.ndjson"
+        argv = ["split", "build", "--height", "3", "--steps", "32", "--seed", "1"]
+        assert main(argv + ["--json", "--trace", str(trace)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "8ce6e35d9d4c48a1ae79d6826c0843a28c73f064dab1e4128b53321b0ec37f12"
+        )
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+            "ab98848bd7f35cc139198625bcd775f612a51f7950310535b5c92bba19981ccc"
+        )
 
 
 class TestUsage:

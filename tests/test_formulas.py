@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ordsem.formulas import (
     BOT,
+    MAX_DEPTH,
     And,
     Bot,
     Imp,
@@ -70,6 +71,22 @@ class TestParseErrors:
     def test_trailing_tokens(self):
         with pytest.raises(ParseError):
             parse("p q")
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: "~" * n + "p",
+            lambda n: "(" * n + "p" + ")" * n,
+            lambda n: "p -> " * n + "p",
+            lambda n: "p & " * n + "p",
+            lambda n: "p | " * n + "p",
+        ],
+        ids=["negations", "parentheses", "implications", "conjunctions", "disjunctions"],
+    )
+    def test_depth_limit_is_exact(self, shape):
+        parse(shape(MAX_DEPTH))
+        with pytest.raises(ParseError, match="deeper|taller"):
+            parse(shape(MAX_DEPTH + 1))
 
 
 class TestPretty:

@@ -1,5 +1,9 @@
 """The splitting interface, the antichain model and the tree construction."""
 
+import hashlib
+import json
+import random
+import re
 from itertools import combinations
 
 import pytest
@@ -10,6 +14,7 @@ from ordsem.splitting import (
     PartialHomomorphism,
     SplittingStructure,
     SyntheticAntichainModel,
+    _closed_domain,
     antichain_from_json,
     antichain_label,
     antichain_to_json,
@@ -19,6 +24,7 @@ from ordsem.splitting import (
     pmorphism_of,
     reduce_antichain,
     split_from_cond_ii,
+    trace_lines,
     verify_splitting_class,
 )
 
@@ -43,8 +49,8 @@ def bounded_universe():
 class SortedTupleModel(SplittingStructure):
     """The antichain model with elements held as sorted tuples, not frozensets."""
 
-    def __init__(self):
-        self.inner = SyntheticAntichainModel()
+    def __init__(self, seed=0):
+        self.inner = SyntheticAntichainModel(seed=seed)
 
     @staticmethod
     def wrap(a):
@@ -121,6 +127,38 @@ class TestAmbientOrder:
     def test_reduce_drops_proper_prefixes(self):
         assert reduce_antichain([(0,), (0, 1)]) == ac((0, 1))
         assert is_prefix((), (0, 1))
+
+    def test_fast_paths_match_definitions(self):
+        def prefix(s, t):
+            return len(s) <= len(t) and t[: len(s)] == s
+
+        rng = random.Random(11)
+        longer = set()
+        for _ in range(12):
+            s = tuple(rng.randrange(3) for _ in range(7))
+            longer.update(ac(s[:n]) for n in range(3, 8))
+        model = SyntheticAntichainModel()
+        universe = bounded_universe() + sorted(longer, key=sorted)
+        for a in universe:
+            for b in universe:
+                for s in a:
+                    for t in b:
+                        assert is_prefix(s, t) == prefix(s, t)
+                assert model.leq(a, b) == all(any(prefix(s, t) for t in b) for s in a)
+                assert model.joins_in_class(a, b) == model.in_class(model.join(a, b))
+
+    @pytest.mark.parametrize("height", [2, 3])
+    def test_generic_hook_builds_the_same_trace(self, height):
+        # SortedTupleModel keeps the default joins_in_class, built from join
+        def labelled(entry):
+            if "element" not in entry:
+                return entry
+            return dict(entry, element=antichain_label(frozenset(map(tuple, entry["element"]))))
+
+        for seed in range(1, 6):
+            fast = build_pmorphism(SyntheticAntichainModel(seed=seed), height, 48)
+            generic = build_pmorphism(SortedTupleModel(seed=seed), height, 48)
+            assert [labelled(entry) for entry in fast.trace] == generic.trace
 
 
 class TestCheckSplitConditions:
@@ -319,6 +357,132 @@ class TestBuild:
 
         with pytest.raises(InvariantViolation, match="R2"):
             build_pmorphism(Degenerate(), 2, 2)
+
+
+# First 16 hex digits of sha256(trace_lines(alpha) + json.dumps(alpha.to_json()))
+# for build_pmorphism(SyntheticAntichainModel(seed), height, 48), seeds 1..10,
+# captured before the comparability hook and the image index existed.
+BUILD_SHA256 = {
+    1: (
+        "f34441b23015c712", "ab1283e5fb4ecaa4", "77aa77c0248f03bc", "c9622c8ab76824a0",
+        "21b649af4ef093de", "e1f8653f08034f02", "07d124a4b0ab9d0f", "be2ebdd3c7b0dbab",
+        "0f601f2c05a07441", "78c7b58ff42ba0fa",
+    ),
+    2: (
+        "0e66a1d6b5cb10b5", "5bfb0ef4923ef2a3", "6e21af9584c7b296", "e17d164740f87af3",
+        "c4a37fb7285abf6f", "f5dbe125fd9f3c8a", "7daa3d14a8b1c175", "c0d7481fc17081ff",
+        "06a6a668a73c7ef3", "783ff6e117c15216",
+    ),
+    3: (
+        "9b3e391dc251e93e", "c9078bb09a6c11a1", "2360815a929d6156", "c5e0e077fc044ede",
+        "6ac9c61f19806956", "41f308e145e68c21", "50e24933e13bcfd2", "de1a5299904ca442",
+        "3e101ed1efa40e69", "b86d063f67372767",
+    ),
+    4: (
+        "4be8e54126a16e17", "b73ebdd74159e725", "f840ae6827a72ec4", "2d22eb4aaac53824",
+        "3c441982c3d0d9c1", "d05340fe964cdb82", "f730e850d66a8cf0", "9935c728fe52e508",
+        "549ff67e8f013079", "4059b6b0b9e8d5fe",
+    ),
+    5: (
+        "05950e8346c01d51", "44a4f4a1d63a5bff", "d50d65cc8d71d0df", "3ef177a354b1081a",
+        "9bdaca2391eb0cee", "404e87f848b0d284", "86dbc1e3fcbf9ca1", "777d72eccdc021c8",
+        "67b89d4af5ca534f", "3715a05f76dfa62e",
+    ),
+}
+
+
+class TestBuildPins:
+    @pytest.mark.parametrize("height", sorted(BUILD_SHA256))
+    def test_trace_and_json_unchanged(self, height):
+        digests = []
+        for seed in range(1, 11):
+            alpha = build_pmorphism(SyntheticAntichainModel(seed=seed), height, 48)
+            blob = trace_lines(alpha) + json.dumps(alpha.to_json())
+            digests.append(hashlib.sha256(blob.encode()).hexdigest()[:16])
+        assert tuple(digests) == BUILD_SHA256[height]
+
+
+class JoinsStayInClass(SyntheticAntichainModel):
+    """Antichains of up to two sequences form the class, so incomparable
+    singletons join inside it; only the generic hook knows that."""
+
+    def in_class(self, x):
+        return isinstance(x, frozenset) and 1 <= len(x) <= 2
+
+    joins_in_class = SplittingStructure.joins_in_class
+
+
+CORRUPTIONS = [
+    pytest.param(
+        SyntheticAntichainModel(),
+        {ac(()): "", ac((0,)): "0"},
+        (ac((0, 0)), "1"),
+        "order homomorphism broken: {0} <= {00} but '0' is not a prefix of '1'",
+        id="placed-below-new",
+    ),
+    pytest.param(
+        SyntheticAntichainModel(),
+        {ac(()): "", ac((0, 0)): "0"},
+        (ac((0,)), "1"),
+        "order homomorphism broken: {0} <= {00} but '1' is not a prefix of '0'",
+        id="new-below-placed",
+    ),
+    pytest.param(
+        JoinsStayInClass(),
+        {ac(()): "", ac((0,)): "0"},
+        (ac((1,)), "1"),
+        "incomparability invariant broken: images '0' | '1' but join({0}, {1}) stays in the class",
+        id="incomparable-join-in-class",
+    ),
+]
+
+
+class TestInvariantChecks:
+    @pytest.mark.parametrize("model, placed, new, message", CORRUPTIONS)
+    def test_incremental_and_full_checks_agree(self, model, placed, new, message):
+        alpha = PartialHomomorphism(model, 3, dict(placed))
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            alpha.check_new_pair(*new)
+        element, image = new
+        alpha.pairs[element] = image
+        report = alpha.check_invariants()
+        assert message in report.violations
+        assert report.checked == 3 * 2
+
+
+def fixpoint_closed_domain(alpha):
+    """Reference closure: rescan every pair until nothing changes."""
+    s = alpha.structure
+    items = list(alpha.pairs.items())
+    closed = {}
+    changed = True
+    while changed:
+        changed = False
+        for element, image in items:
+            if element in closed:
+                continue
+            if len(image) == alpha.height - 1:
+                closed[element] = image
+                changed = True
+                continue
+            have0 = any(
+                img == image + "0" and e in closed and s.leq(element, e) for e, img in items
+            )
+            have1 = any(
+                img == image + "1" and e in closed and s.leq(element, e) for e, img in items
+            )
+            if have0 and have1:
+                closed[element] = image
+                changed = True
+    return [e for e, _ in items if e in closed]
+
+
+class TestClosedDomain:
+    @pytest.mark.parametrize("steps", range(20, 61, 10))
+    def test_one_pass_matches_fixpoint_on_unfinished_builds(self, steps):
+        for seed in range(1, 21):
+            alpha = build_pmorphism(SyntheticAntichainModel(seed=seed), 5, steps)
+            assert _closed_domain(alpha) == fixpoint_closed_domain(alpha)
 
 
 class TestPackaging:
