@@ -299,17 +299,28 @@ def algebra_to_json(algebra: BrouwerAlgebra) -> dict:
     }
 
 
+def _index_table(data: dict, name: str) -> tuple[tuple[int, ...], ...]:
+    rows = data[name]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
+        for row in rows
+    ):
+        raise InputError(f'"{name}" must be a list of rows of integer indices')
+    return tuple(tuple(row) for row in rows)
+
+
 def algebra_from_json(data: object) -> BrouwerAlgebra:
     """Rebuild from a dump; the order is derived from the join table."""
     if not isinstance(data, dict):
         raise InputError("algebra JSON must be an object")
-    try:
-        carrier = tuple(data["carrier"])
-        join = tuple(tuple(row) for row in data["join"])
-        meet = tuple(tuple(row) for row in data["meet"])
-        impl = tuple(tuple(row) for row in data["impl"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"algebra JSON is missing or malformed: {exc}") from None
+    missing = [key for key in ("carrier", "join", "meet", "impl") if key not in data]
+    if missing:
+        raise InputError(f"algebra JSON is missing {', '.join(missing)}")
+    carrier = data["carrier"]
+    if not isinstance(carrier, list) or not all(isinstance(e, str) for e in carrier):
+        raise InputError('"carrier" must be a list of strings')
+    join, meet, impl = (_index_table(data, name) for name in ("join", "meet", "impl"))
     n = len(carrier)
     if len(join) != n or any(len(row) != n for row in join):
         raise InputError("join table is not total on carrier^2")
@@ -329,7 +340,7 @@ def algebra_from_json(data: object) -> BrouwerAlgebra:
             top = i
     if bottom is None or top is None:
         raise InputError("join table does not define a bounded order")
-    return BrouwerAlgebra(carrier, tuple(up), join, meet, impl, bottom, top)
+    return BrouwerAlgebra(tuple(carrier), tuple(up), join, meet, impl, bottom, top)
 
 
 def algebra_dumps(algebra: BrouwerAlgebra) -> str:

@@ -202,11 +202,18 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         if not isinstance(data, dict) or "frame" not in data:
             raise InputError("countermodel JSON needs a 'frame' key")
         frame = order.poset_from_json(data["frame"])
-        valuation = {
-            name: order.upward_closure(frame, members)
-            for name, members in data.get("valuation", {}).items()
+        valuation = data.get("valuation", {})
+        if not isinstance(valuation, dict) or not all(
+            isinstance(members, list) and all(isinstance(m, str) for m in members)
+            for members in valuation.values()
+        ):
+            raise InputError("countermodel 'valuation' must map atoms to lists of labels")
+        if not isinstance(data.get("point"), str):
+            raise InputError("countermodel JSON needs a string 'point'")
+        upsets = {
+            name: order.upward_closure(frame, members) for name, members in valuation.items()
         }
-        text = dot.countermodel_dot(frame, valuation, data["point"])
+        text = dot.countermodel_dot(frame, upsets, data["point"])
     try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

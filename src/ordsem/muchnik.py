@@ -10,11 +10,12 @@ canonical representative of A's degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .brouwer import impl_mask, upset_algebra, upset_mask_label
+from .brouwer import impl_mask, upset_algebra
 from .errors import CapacityError, InputError, Report, StructureError
-from .order import Poset, bits, closure_mask, is_join_semilattice, join_index
+from .order import Poset, bits, closure_mask, is_join_semilattice, join_index, upset_masks
 
 MAX_ISO_ELEMENTS = 5
 
@@ -45,14 +46,73 @@ def _same_poset(a: MassProblem, b: MassProblem) -> Poset:
     return a.poset
 
 
+class _Degrees:
+    """The degree operations of one poset, on masks.
+
+    Every public operation goes through here.  Reducibility is read off the
+    down-cones: g computes some f in A iff ``down[g] & A``, which is never
+    derived from ``closure_mask``, so ``iso_check`` compares two routes.
+    """
+
+    def __init__(self, poset: Poset) -> None:
+        self.poset = poset
+        self.down = poset.down
+
+    @cached_property
+    def joins(self) -> tuple[tuple[int | None, ...], ...]:
+        """Join indices, n x n, None where a join is missing."""
+        n = self.poset.n
+        return tuple(
+            tuple(join_index(self.poset, i, j) for j in range(n)) for i in range(n)
+        )
+
+    def reach(self, a: int) -> int:
+        """The degrees g that compute some f in A."""
+        out = 0
+        for g, cone in enumerate(self.down):
+            if cone & a:
+                out |= 1 << g
+        return out
+
+    def leq(self, a: int, b: int) -> bool:
+        return not b & ~self.reach(a)
+
+    def ops(self, a: int, b: int) -> tuple[int, int, int]:
+        """(+), (x) and -> of A and B.
+
+        A missing join raises only when it is read, in the order
+        f in A, g in B for (+), then g ascending, f in A for ->.
+        """
+        joins, down = self.joins, self.down
+        members = tuple(bits(a))
+        jmask = 0
+        for f in members:
+            row = joins[f]
+            for g in bits(b):
+                k = row[g]
+                if k is None:
+                    raise self._missing(f, g)
+                jmask |= 1 << k
+        imask = 0
+        for g in range(self.poset.n):
+            for f in members:
+                k = joins[f][g]
+                if k is None:
+                    raise self._missing(f, g)
+                if not down[k] & b:
+                    break
+            else:
+                imask |= 1 << g
+        return jmask, a | b, imask
+
+    def _missing(self, f: int, g: int) -> StructureError:
+        elements = self.poset.elements
+        return StructureError(f"no join for ({elements[f]!r}, {elements[g]!r})")
+
+
 def muchnik_leq(a: MassProblem, b: MassProblem) -> bool:
     """A <=_w B: every g in B computes some f in A."""
-    poset = _same_poset(a, b)
-    return all(poset.down[g] & a.mask for g in bits(b.mask))
-
-
-def muchnik_equiv(a: MassProblem, b: MassProblem) -> bool:
-    return muchnik_leq(a, b) and muchnik_leq(b, a)
+    return _Degrees(_same_poset(a, b)).leq(a.mask, b.mask)
 
 
 def canonical_degree(a: MassProblem) -> MassProblem:
@@ -69,27 +129,11 @@ class MuchnikOps(NamedTuple):
 def muchnik_ops(a: MassProblem, b: MassProblem) -> MuchnikOps:
     """The three lattice operations; needs all pairwise joins in the poset."""
     poset = _same_poset(a, b)
-
-    def joined(i: int, j: int) -> int:
-        k = join_index(poset, i, j)
-        if k is None:
-            raise StructureError(
-                f"no join for ({poset.elements[i]!r}, {poset.elements[j]!r})"
-            )
-        return k
-
-    jmask = 0
-    for f in bits(a.mask):
-        for g in bits(b.mask):
-            jmask |= 1 << joined(f, g)
-    imask = 0
-    for g in range(poset.n):
-        if all(poset.down[joined(f, g)] & b.mask for f in bits(a.mask)):
-            imask |= 1 << g
+    join, meet, impl = _Degrees(poset).ops(a.mask, b.mask)
     return MuchnikOps(
-        join=MassProblem(poset, jmask),
-        meet=MassProblem(poset, a.mask | b.mask),
-        impl=MassProblem(poset, imask),
+        join=MassProblem(poset, join),
+        meet=MassProblem(poset, meet),
+        impl=MassProblem(poset, impl),
     )
 
 
@@ -98,7 +142,12 @@ def iso_check(poset: Poset) -> Report:
 
     Over all 2^|X| mass problems: A is equivalent to C(A); degrees biject
     with upsets; order and the three operations transfer to the upset
-    algebra's tables.
+    algebra's tables.  Once per poset it computes the join indices, C(A)
+    and the reach of every A (the degrees computing some member of A);
+    order is read through the down-cones, independently of the closure it
+    is checked against.  One pass over the pairs computes each pair's
+    operations once and checks them against the upset masks and against
+    the algebra's tables; table violations are listed after the others.
     """
     if poset.n > MAX_ISO_ELEMENTS:
         raise CapacityError(
@@ -110,66 +159,56 @@ def iso_check(poset: Poset) -> Report:
     algebra = upset_algebra(poset)
     # Carrier order of upset_algebra is the canonical mask order, so the
     # algebra index of an upset mask can be recovered positionally.
-    from .order import upset_masks
-
     masks = upset_masks(poset)
     pos = {m: i for i, m in enumerate(masks)}
+    degrees = _Degrees(poset)
+    problems = range(poset.full_mask + 1)
+    closure = [closure_mask(poset, a) for a in problems]
+    reach = [degrees.reach(a) for a in problems]
+
+    def on(a: int, b: int) -> str:
+        return f"A={poset.labels_of(a)}, B={poset.labels_of(b)}"
 
     violations: list[str] = []
+    table_violations: list[str] = []
     checked = 0
-    problems = [MassProblem(poset, m) for m in range(poset.full_mask + 1)]
 
     for a in problems:
         checked += 2
-        c = canonical_degree(a)
-        if not (muchnik_leq(a, c) and muchnik_leq(c, a)):
-            violations.append(f"A != C(A) for A={a.members}")
-        if c.mask not in pos:
-            violations.append(f"C(A) is not an upset for A={a.members}")
+        c = closure[a]
+        if c & ~reach[a] or a & ~reach[c]:
+            violations.append(f"A != C(A) for A={poset.labels_of(a)}")
+        if c not in pos:
+            violations.append(f"C(A) is not an upset for A={poset.labels_of(a)}")
 
     for a in problems:
+        ca, ra = closure[a], reach[a]
         for b in problems:
-            checked += 5
-            ca, cb = canonical_degree(a).mask, canonical_degree(b).mask
-            if muchnik_equiv(a, b) != (ca == cb):
-                violations.append(
-                    f"degree bijection fails on A={a.members}, B={b.members}"
-                )
-            if muchnik_leq(a, b) != (cb & ~ca == 0):
-                violations.append(
-                    f"order transfer fails on A={a.members}, B={b.members}"
-                )
-            ops = muchnik_ops(a, b)
-            if canonical_degree(ops.join).mask != ca & cb:
-                violations.append(
-                    f"(+) transfer fails on A={a.members}, B={b.members}"
-                )
-            if canonical_degree(ops.meet).mask != ca | cb:
-                violations.append(
-                    f"(x) transfer fails on A={a.members}, B={b.members}"
-                )
-            if canonical_degree(ops.impl).mask != impl_mask(poset, ca, cb):
-                violations.append(
-                    f"-> transfer fails on A={a.members}, B={b.members}"
-                )
-
-    # The table route must agree with the mask route.
-    for a in problems:
-        for b in problems:
-            checked += 1
-            ia = pos[canonical_degree(a).mask]
-            ib = pos[canonical_degree(b).mask]
-            ops = muchnik_ops(a, b)
+            checked += 6
+            cb = closure[b]
+            a_leq_b = not b & ~ra
+            if (a_leq_b and not a & ~reach[b]) != (ca == cb):
+                violations.append(f"degree bijection fails on {on(a, b)}")
+            if a_leq_b != (cb & ~ca == 0):
+                violations.append(f"order transfer fails on {on(a, b)}")
+            jmask, mmask, imask = degrees.ops(a, b)
+            cj, cm, ci = closure[jmask], closure[mmask], closure[imask]
+            if cj != ca & cb:
+                violations.append(f"(+) transfer fails on {on(a, b)}")
+            if cm != ca | cb:
+                violations.append(f"(x) transfer fails on {on(a, b)}")
+            if ci != impl_mask(poset, ca, cb):
+                violations.append(f"-> transfer fails on {on(a, b)}")
+            # The table route must agree with the mask route.
+            ia, ib = pos[ca], pos[cb]
             if (
-                pos[canonical_degree(ops.join).mask] != algebra.join[ia][ib]
-                or pos[canonical_degree(ops.meet).mask] != algebra.meet[ia][ib]
-                or pos[canonical_degree(ops.impl).mask] != algebra.impl[ia][ib]
+                pos[cj] != algebra.join[ia][ib]
+                or pos[cm] != algebra.meet[ia][ib]
+                or pos[ci] != algebra.impl[ia][ib]
             ):
-                violations.append(
-                    f"algebra table transfer fails on A={a.members}, B={b.members}"
-                )
+                table_violations.append(f"algebra table transfer fails on {on(a, b)}")
 
-    return Report(checked=checked, violations=tuple(violations))
+    return Report(checked=checked, violations=tuple(violations + table_violations))
 
 
 def mass_problem_to_json(a: MassProblem) -> dict:

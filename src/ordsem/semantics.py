@@ -22,6 +22,7 @@ from .formulas import And, Bot, Formula, Imp, Or, Var, free_vars, subformulas
 from .order import Poset, Upset, upset_masks
 
 MAX_VALUATIONS = 2_000_000
+MAX_TREE_HEIGHT = 10  # 2^{<10} has 1023 nodes
 
 # Opcodes index the (join, meet, impl) tables of an algebra.
 _AND, _OR, _IMP = 0, 1, 2
@@ -172,6 +173,8 @@ def binary_tree_frame(height: int) -> Poset:
     """The frame 2^{<height}: binary strings of length < height, prefix order."""
     if height < 1:
         raise InputError(f"tree height must be >= 1, got {height}")
+    if height > MAX_TREE_HEIGHT:
+        raise CapacityError(f"tree height guard: {height} > {MAX_TREE_HEIGHT}")
     nodes = sorted(
         ("".join(word) for k in range(height) for word in product("01", repeat=k)),
         key=lambda s: (len(s), s),

@@ -61,6 +61,26 @@ class TestAlgebra:
         dump.write_text(capsys.readouterr().out)
         assert main(["algebra", "verify", str(dump)]) == 0
 
+    @pytest.mark.parametrize(
+        "table, row, col, value",
+        [("join", 0, 1, "a"), ("meet", 1, 0, True), ("impl", 0, 0, 1.0), ("carrier", 0, None, 0)],
+        ids=["string-cell", "bool-cell", "float-cell", "integer-label"],
+    )
+    def test_dump_with_bad_cell_exits_two(
+        self, table, row, col, value, fork_path, tmp_path, capsys
+    ):
+        main(["algebra", "quotient", fork_path, "-x", "{l}"])
+        data = json.loads(capsys.readouterr().out)
+        if col is None:
+            data[table][row] = value
+        else:
+            data[table][row][col] = value
+        dump = tmp_path / "alg.json"
+        dump.write_text(json.dumps(data))
+        assert main(["algebra", "verify", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestMuchnik:
     def test_chain_ok(self, chain_path):
@@ -161,6 +181,18 @@ class TestSplit:
         assert main(["split", "build", "--height", "4", "--steps", "2"]) == 1
         assert "incomplete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("height, code", [(10, 1), (11, 2), (100000, 2)])
+    def test_tree_height_limit(self, height, code, capsys):
+        # 2^{<10} is the largest target frame; past it the build stops with
+        # an input error instead of enumerating 2^height nodes
+        argv = ["split", "build", "--height", str(height), "--steps", "1"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error: tree height guard")
+        else:
+            assert "incomplete" in captured.out
+
     def test_deterministic_output(self, capsys):
         main(["split", "build", "--height", "3", "--steps", "24", "--seed", "3"])
         first = capsys.readouterr().out
@@ -195,6 +227,30 @@ class TestExportDot:
         assert '"0: p"' in text
         assert "peripheries=2" in text
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"valuation": {"p": [["a"]]}},
+            {"valuation": ["p"]},
+            {"valuation": {"p": "0"}},
+            {"point": None},
+        ],
+        ids=["nested-list-member", "list-valuation", "string-members", "no-point"],
+    )
+    def test_malformed_countermodel_exits_two(self, change, tmp_path, capsys):
+        main(["ipc", "p | ~p", "--max-height", "3"])
+        data = json.loads(capsys.readouterr().out)
+        data.update(change)
+        if data["point"] is None:
+            del data["point"]
+        cm = tmp_path / "cm.json"
+        cm.write_text(json.dumps(data))
+        out = tmp_path / "cm.dot"
+        assert main(["export-dot", "countermodel", str(cm), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_path_exits_two(self, fork_path):
         assert main(["export-dot", "frame", fork_path, "-o", "/nonexistent/x.dot"]) == 2
 
@@ -205,8 +261,15 @@ DIAMOND = {
     "leq": [["bot", "m1"], ["bot", "m2"], ["m1", "top"], ["m2", "top"]],
 }
 
-# Byte-exact --json stdout, frozen from the two-evaluator implementation.
+# Byte-exact --json stdout, each frozen before the rewrite it guards (the
+# one evaluator for both semantics; the Muchnik mask kernel).
 GOLDEN = [
+    pytest.param(
+        ["muchnik", "iso-check", "diamond"],
+        0,
+        '{"checked": 1568, "ok": true, "subject": "muchnik-iso", "violations": []}\n',
+        id="muchnik-iso-check",
+    ),
     pytest.param(
         ["theory", "(p -> q) | (q -> p)", "--frame", "fork"],
         1,

@@ -208,6 +208,11 @@ class TestBinaryTree:
         with pytest.raises(InputError):
             binary_tree_frame(0)
 
+    def test_height_guard(self):
+        assert binary_tree_frame(semantics.MAX_TREE_HEIGHT).n == 1023
+        with pytest.raises(CapacityError, match="tree height guard"):
+            binary_tree_frame(semantics.MAX_TREE_HEIGHT + 1)
+
 
 class TestIpcCheckBounded:
     def test_excluded_middle_countermodel(self):
