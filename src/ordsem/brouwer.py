@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputError, Report
 from .order import Poset, bits, upset_masks
@@ -38,7 +37,9 @@ class BrouwerAlgebra:
             raise InputError(f"carrier guard: {n} > {MAX_CARRIER}")
         if len(set(self.carrier)) != n:
             raise InputError("duplicate carrier labels")
-        Poset(self.carrier, self.up)  # order axioms
+        # Validates the order axioms.  Set like a field, not through __dict__
+        # as cached_property does, which would slow every later field read.
+        object.__setattr__(self, "_order", Poset(self.carrier, self.up))
         for name, table in (("join", self.join), ("meet", self.meet), ("impl", self.impl)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise InputError(f"{name} table is not total on carrier^2")
@@ -58,21 +59,22 @@ class BrouwerAlgebra:
     def n(self) -> int:
         return len(self.carrier)
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.carrier)}
+    @property
+    def order(self) -> Poset:
+        """The carrier order, built and validated once at construction."""
+        return self._order
 
-    @cached_property
+    @property
+    def index(self) -> dict[str, int]:
+        return self._order.index
+
+    @property
     def down(self) -> tuple[int, ...]:
-        cones = [0] * self.n
-        for i, cone in enumerate(self.up):
-            for j in bits(cone):
-                cones[j] |= 1 << i
-        return tuple(cones)
+        return self._order.down
 
     def index_of(self, label: str) -> int:
         try:
-            return self.index[label]
+            return self._order.index[label]
         except KeyError:
             raise InputError(f"unknown carrier element {label!r}") from None
 
@@ -189,39 +191,43 @@ def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
     return Report(checked=checked, violations=tuple(violations))
 
 
-def quotient(algebra: BrouwerAlgebra, x: str) -> BrouwerAlgebra:
-    """Factor by the principal filter of x: y ~ z iff y (x) x = z (x) x.
-
-    Classes are represented canonically by y (x) x, so the carrier is the
-    interval [0, x]; the induced implication is [(y (x) x) -> (z (x) x)].
-    The class map y |-> [y (x) x] preserves 0, 1, (+) and (x) but not ->:
-    of the 1788 (upset algebra, x) pairs over posets on at most 4
-    elements, it fails -> on 1078.  Hence the implication is computed on
-    representatives rather than read off the class of y -> z.
-    """
-    xi = algebra.index_of(x)
-    reps = sorted({algebra.meet[y][xi] for y in range(algebra.n)})
+def _restrict(algebra: BrouwerAlgebra, xi: int, reps: list[int], labels: list[str]) -> BrouwerAlgebra:
+    """[0, x] tabled on the ascending ``reps``: order, (+) and (x) restricted,
+    y ->' z = (y -> z) (x) x, bottom the class of 0 and top x."""
     pos = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    up = [0] * k
-    for i, r in enumerate(reps):
-        for j, s in enumerate(reps):
-            if algebra.leq(r, s):
-                up[i] |= 1 << j
+    span = sum(1 << r for r in reps)
+    up = tuple(sum(1 << pos[s] for s in bits(algebra.up[r] & span)) for r in reps)
     join = tuple(tuple(pos[algebra.join[r][s]] for s in reps) for r in reps)
     meet = tuple(tuple(pos[algebra.meet[r][s]] for s in reps) for r in reps)
     impl = tuple(
         tuple(pos[algebra.meet[algebra.impl[r][s]][xi]] for s in reps) for r in reps
     )
     return BrouwerAlgebra(
-        carrier=tuple(f"[{algebra.carrier[r]}]" for r in reps),
-        up=tuple(up),
+        carrier=tuple(labels),
+        up=up,
         join=join,
         meet=meet,
         impl=impl,
         bottom=pos[algebra.meet[algebra.bottom][xi]],
         top=pos[xi],
     )
+
+
+def quotient(algebra: BrouwerAlgebra, x: str) -> BrouwerAlgebra:
+    """Factor by the principal filter of x: y ~ z iff y (x) x = z (x) x.
+
+    Classes are represented canonically by y (x) x and labelled ``[...]``,
+    so the carrier is the interval [0, x]: ``interval_algebra`` shares the
+    builder and differs only in taking its members from the down-cone of
+    x.  The induced implication is [(y (x) x) -> (z (x) x)].  The class map
+    y |-> [y (x) x] preserves 0, 1, (+) and (x) but not ->: of the 1788
+    (upset algebra, x) pairs over posets on at most 4 elements, it fails
+    -> on 1078.  Hence the implication is computed on representatives
+    rather than read off the class of y -> z.
+    """
+    xi = algebra.index_of(x)
+    reps = sorted({algebra.meet[y][xi] for y in range(algebra.n)})
+    return _restrict(algebra, xi, reps, [f"[{algebra.carrier[r]}]" for r in reps])
 
 
 @dataclass(frozen=True)
@@ -261,30 +267,14 @@ class AlgebraHomomorphism:
 
 def interval_algebra(algebra: BrouwerAlgebra, x: str) -> tuple[BrouwerAlgebra, AlgebraHomomorphism]:
     """The algebra on [0, x] with y ->' z = (y -> z) (x) x, plus the
-    isomorphism u |-> [u] onto quotient(algebra, x)."""
+    isomorphism u |-> [u] onto quotient(algebra, x), found by label lookup.
+
+    Same builder as ``quotient``; the members are the down-cone of x and
+    keep their carrier labels.
+    """
     xi = algebra.index_of(x)
-    members = sorted(bits(algebra.down[xi]))
-    pos = {r: i for i, r in enumerate(members)}
-    k = len(members)
-    up = [0] * k
-    for i, r in enumerate(members):
-        for j, s in enumerate(members):
-            if algebra.leq(r, s):
-                up[i] |= 1 << j
-    join = tuple(tuple(pos[algebra.join[r][s]] for s in members) for r in members)
-    meet = tuple(tuple(pos[algebra.meet[r][s]] for s in members) for r in members)
-    impl = tuple(
-        tuple(pos[algebra.meet[algebra.impl[r][s]][xi]] for s in members) for r in members
-    )
-    interval = BrouwerAlgebra(
-        carrier=tuple(algebra.carrier[r] for r in members),
-        up=tuple(up),
-        join=join,
-        meet=meet,
-        impl=impl,
-        bottom=pos[algebra.bottom],
-        top=pos[xi],
-    )
+    members = list(bits(algebra.down[xi]))
+    interval = _restrict(algebra, xi, members, [algebra.carrier[r] for r in members])
     quot = quotient(algebra, x)
     mapping = tuple(quot.index_of(f"[{algebra.carrier[r]}]") for r in members)
     return interval, AlgebraHomomorphism(interval, quot, mapping, is_isomorphism=True)

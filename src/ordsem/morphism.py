@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapacityError, InputError, PreconditionError, Report
 from .formulas import Formula, pretty
-from .order import Poset, bits
+from .order import Poset, bits, poset_from_json, poset_to_json
 from .semantics import theory_contains
 
 MAX_SEARCH_SOURCE = 12
@@ -149,8 +149,6 @@ def brute_force_exists(source: Poset, target: Poset) -> bool:
 
 
 def pmorphism_to_json(m: PMorphism) -> dict:
-    from .order import poset_to_json
-
     return {
         "source": poset_to_json(m.source),
         "target": poset_to_json(m.target),
@@ -162,8 +160,6 @@ def pmorphism_to_json(m: PMorphism) -> dict:
 
 
 def pmorphism_from_json(data: object) -> PMorphism:
-    from .order import poset_from_json
-
     if isinstance(data, dict) and "pmorphism" in data:
         data = data["pmorphism"]
     if not isinstance(data, dict) or not {"source", "target", "map"} <= set(data):
@@ -172,9 +168,10 @@ def pmorphism_from_json(data: object) -> PMorphism:
     target = poset_from_json(data["target"])
     pairs = data["map"]
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
+        isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
+        for p in pairs
     ):
-        raise InputError('"map" must be a list of [source, target] pairs')
+        raise InputError('"map" must be a list of [source, target] pairs of element labels')
     return pmorphism_from_labels(source, target, {a: b for a, b in pairs})
 
 

@@ -15,7 +15,16 @@ from typing import Iterable, NamedTuple
 
 from .brouwer import impl_mask, upset_algebra
 from .errors import CapacityError, InputError, Report, StructureError
-from .order import Poset, bits, closure_mask, is_join_semilattice, join_index, upset_masks
+from .order import (
+    Poset,
+    bits,
+    closure_mask,
+    is_join_semilattice,
+    join_index,
+    poset_from_json,
+    poset_to_json,
+    upset_masks,
+)
 
 MAX_ISO_ELEMENTS = 5
 
@@ -212,14 +221,10 @@ def iso_check(poset: Poset) -> Report:
 
 
 def mass_problem_to_json(a: MassProblem) -> dict:
-    from .order import poset_to_json
-
     return {"poset": poset_to_json(a.poset), "members": list(a.members)}
 
 
 def mass_problem_from_json(data: object) -> MassProblem:
-    from .order import poset_from_json
-
     if not isinstance(data, dict) or "poset" not in data or "members" not in data:
         raise InputError('mass problem JSON needs "poset" and "members" keys')
     poset = poset_from_json(data["poset"])

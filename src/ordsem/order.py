@@ -243,49 +243,45 @@ def generate_posets(n: int) -> Iterator[Poset]:
     i < j, j < i); assignments failing transitivity are dropped, so the
     stream is duplicate-free.
     """
-    if not 1 <= n <= MAX_GENERATE:
-        raise CapacityError(f"poset generation guard: n={n} outside 1..{MAX_GENERATE}")
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    labels = tuple(chr(ord("a") + i) for i in range(n))
-    for choice in product((0, 1, 2), repeat=len(pair_list)):
-        cones = [1 << i for i in range(n)]
-        for (i, j), c in zip(pair_list, choice):
-            if c == 1:
-                cones[i] |= 1 << j
-            elif c == 2:
-                cones[j] |= 1 << i
-        if _transitive(cones, n):
-            yield Poset(labels, tuple(cones))
-
-
-def _transitive(cones: list[int], n: int) -> bool:
-    for i in range(n):
-        cone = cones[i]
-        for j in bits(cone):
-            if cones[j] & ~cone:
-                return False
-    return True
+    pairs = _pair_list(n)
+    for choice in product((0, 1, 2), repeat=len(pairs)):
+        poset = _poset_of_choice(n, pairs, choice)
+        if poset is not None:
+            yield poset
 
 
 def random_posets(n: int, count: int, seed: int) -> list[Poset]:
     """Seeded sample of labeled posets on n elements (rejection sampling)."""
-    if not 1 <= n <= MAX_GENERATE:
-        raise CapacityError(f"poset generation guard: n={n} outside 1..{MAX_GENERATE}")
+    pairs = _pair_list(n)
     rng = random.Random(seed)
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    labels = tuple(chr(ord("a") + i) for i in range(n))
     out: list[Poset] = []
     while len(out) < count:
-        cones = [1 << i for i in range(n)]
-        for i, j in pair_list:
-            c = rng.randrange(3)
-            if c == 1:
-                cones[i] |= 1 << j
-            elif c == 2:
-                cones[j] |= 1 << i
-        if _transitive(cones, n):
-            out.append(Poset(labels, tuple(cones)))
+        poset = _poset_of_choice(n, pairs, [rng.randrange(3) for _ in pairs])
+        if poset is not None:
+            out.append(poset)
     return out
+
+
+def _pair_list(n: int) -> list[tuple[int, int]]:
+    if not 1 <= n <= MAX_GENERATE:
+        raise CapacityError(f"poset generation guard: n={n} outside 1..{MAX_GENERATE}")
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _poset_of_choice(n: int, pairs: list[tuple[int, int]], choice: Iterable[int]) -> Poset | None:
+    """The poset on labels a, b, ... whose pair (i, j) is unrelated (0),
+    i < j (1) or j < i (2), or None when that relation is not transitive."""
+    cones = [1 << i for i in range(n)]
+    for (i, j), c in zip(pairs, choice):
+        if c == 1:
+            cones[i] |= 1 << j
+        elif c == 2:
+            cones[j] |= 1 << i
+    for cone in cones:
+        for j in bits(cone):
+            if cones[j] & ~cone:
+                return None
+    return Poset(tuple(chr(ord("a") + i) for i in range(n)), tuple(cones))
 
 
 def poset_to_json(poset: Poset) -> dict:

@@ -224,8 +224,10 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
     Per level, refutability is decided exactly by a closure over point
     profiles (which subformulas a point can force); only when a level is
     refutable is the valuation space enumerated, to extract the smallest-k,
-    lexicographically-first countermodel.  A countermodel is conclusive;
-    validity is only up to the bound.
+    lexicographically-first countermodel.  Each level's profiles depend
+    only on the previous level's, so the search stops at the first level
+    whose profile set repeats an earlier one.  A countermodel is
+    conclusive; validity is only up to the bound.
     """
     if max_height < 1:
         raise InputError(f"max height must be >= 1, got {max_height}")
@@ -271,6 +273,7 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
 
     level_profiles: set[int] = set()
     previous: set[int] = set()
+    seen: set[frozenset[int]] = set()
     for k in range(1, max_height + 1):
         if k == 1:
             current = {close(a, None, None) for a in atom_subsets(atom_mask)}
@@ -289,5 +292,9 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
                 raise InputError("internal disagreement between profile search and enumeration")
             valuation, point = witness
             return Countermodel(f, frame, valuation, point, k)
+        level = frozenset(current)
+        if level in seen:  # later levels repeat earlier ones: nothing new to refute
+            break
+        seen.add(level)
         previous = current
     return ValidUpToBound(f, max_height)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from ordsem.brouwer import (
+    BrouwerAlgebra,
     algebra_dumps,
     algebra_from_json,
     interval_algebra,
@@ -41,6 +42,42 @@ class TestUpsetAlgebra:
         j = algebra.index_of("{k}")
         assert algebra.carrier[algebra.join[i][j]] == "{}"
         assert algebra.carrier[algebra.meet[i][j]] == "{l,k}"
+
+
+class TestConstructor:
+    def test_order_is_built_once_and_kept(self, diamond):
+        algebra = upset_algebra(diamond)
+        assert algebra.order is algebra.order
+        assert algebra.order.elements == algebra.carrier
+        assert algebra.order.up == algebra.up
+        assert algebra.down is algebra.order.down
+
+    def test_non_antisymmetric_order(self, chain2):
+        algebra = upset_algebra(chain2)
+        up = list(algebra.up)
+        up[algebra.top] |= 1 << algebra.bottom  # 1 <= 0 as well as 0 <= 1
+        with pytest.raises(InputError, match="antisymmetric"):
+            dataclasses.replace(algebra, up=tuple(up))
+
+    def test_non_transitive_order(self):
+        # x <= y and y <= z but not x <= z
+        with pytest.raises(InputError, match="transitive"):
+            BrouwerAlgebra(
+                carrier=("x", "y", "z"),
+                up=(0b011, 0b110, 0b100),
+                join=((0, 1, 2),) * 3,
+                meet=((0, 0, 0),) * 3,
+                impl=((0, 0, 0),) * 3,
+                bottom=0,
+                top=2,
+            )
+
+    def test_join_table_disagreeing_with_order(self, chain2):
+        algebra = upset_algebra(chain2)
+        join = [list(row) for row in algebra.join]
+        join[algebra.bottom][algebra.top] = algebra.bottom  # 0 (+) 1 should be 1
+        with pytest.raises(InputError, match="disagrees with join table"):
+            dataclasses.replace(algebra, join=tuple(tuple(row) for row in join))
 
 
 class TestVerifyBrouwer:
@@ -134,6 +171,72 @@ class TestQuotient:
     def test_unknown_element(self, chain2):
         with pytest.raises(InputError):
             quotient(upset_algebra(chain2), "nope")
+
+
+def quotient_by_definition(algebra, x):
+    """The factor by the principal filter of x, from the definition alone.
+
+    Classes are {y : y (x) x = r}, each labelled by its least member;
+    [y] (+) [z] and [y] (x) [z] are read off every pair of members (and
+    must not depend on the choice), and [a] -> [b] is the least class [c]
+    with [b] <= [a] (+) [c], found by search over all classes.
+    """
+    xi = algebra.index_of(x)
+    classes = {}
+    for y in range(algebra.n):
+        classes.setdefault(algebra.meet[y][xi], []).append(y)
+    least_member = {
+        key: next(r for r in members if all(algebra.leq(r, z) for z in members))
+        for key, members in classes.items()
+    }
+    reps = sorted(least_member.values())
+    class_of = {
+        y: reps.index(least_member[key]) for key, members in classes.items() for y in members
+    }
+    k = len(reps)
+
+    def lift(table):
+        values = {}
+        for y in range(algebra.n):
+            for z in range(algebra.n):
+                values.setdefault((class_of[y], class_of[z]), set()).add(class_of[table[y][z]])
+        assert all(len(v) == 1 for v in values.values()), "not a congruence"
+        return tuple(tuple(min(values[a, b]) for b in range(k)) for a in range(k))
+
+    join, meet = lift(algebra.join), lift(algebra.meet)
+
+    def leq(a, b):
+        return join[a][b] == b
+
+    def least(candidates):
+        return next(c for c in candidates if all(leq(c, d) for d in candidates))
+
+    impl = tuple(
+        tuple(least([c for c in range(k) if leq(b, join[a][c])]) for b in range(k))
+        for a in range(k)
+    )
+    return BrouwerAlgebra(
+        carrier=tuple(f"[{algebra.carrier[r]}]" for r in reps),
+        up=tuple(sum(1 << b for b in range(k) if leq(a, b)) for a in range(k)),
+        join=join,
+        meet=meet,
+        impl=impl,
+        bottom=class_of[algebra.bottom],
+        top=class_of[algebra.top],
+    )
+
+
+class TestQuotientByDefinition:
+    def test_matches_quotient(self, diamond):
+        posets = [p for n in (1, 2, 3) for p in generate_posets(n)]
+        posets += [from_relation(["a", "b", "c", "d"], []), diamond]
+        pairs = 0
+        for poset in posets:
+            algebra = upset_algebra(poset)
+            for x in algebra.carrier:
+                assert quotient_by_definition(algebra, x) == quotient(algebra, x), x
+                pairs += 1
+        assert pairs == 132
 
 
 class TestInterval:

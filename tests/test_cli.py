@@ -136,6 +136,14 @@ class TestIpc:
         data = json.loads(capsys.readouterr().out)
         assert data["result"] == "valid-up-to-bound"
 
+    def test_huge_bound_stops_at_the_fixpoint(self, capsys):
+        assert main(["ipc", "p -> p", "--max-height", "1000000000", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "bound": 1000000000,
+            "formula": "p -> p",
+            "result": "valid-up-to-bound",
+        }
+
 
 class TestPmorphism:
     def test_search_and_verify(self, fork_path, chain_path, tmp_path, capsys):
@@ -152,6 +160,26 @@ class TestPmorphism:
             )
         )
         assert main(["pmorphism", "search", str(chain3), fork_path]) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "export-dot"])
+    @pytest.mark.parametrize(
+        "pair", [["r", ["a"]], [["r"], "a"]], ids=["list-target", "list-source"]
+    )
+    def test_non_string_map_member_exits_two(
+        self, pair, command, fork_path, chain_path, tmp_path, capsys
+    ):
+        main(["pmorphism", "search", fork_path, chain_path])
+        data = json.loads(capsys.readouterr().out)
+        data["map"][0] = pair
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(data))
+        if command == "verify":
+            argv = ["pmorphism", "verify", str(m)]
+        else:
+            argv = ["export-dot", "pmorphism", str(m), "-o", str(tmp_path / "m.dot")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSplit:

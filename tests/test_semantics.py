@@ -4,6 +4,7 @@ Countermodel golden values were computed by the independent brute-force
 sweep in `first_refutation` below and then frozen.
 """
 
+import time
 from itertools import product
 
 import pytest
@@ -272,3 +273,22 @@ class TestIpcCheckBounded:
     def test_bad_bound(self):
         with pytest.raises(InputError):
             ipc_check_bounded(parse("p"), 0)
+
+    def test_stops_at_the_profile_fixpoint(self):
+        start = time.perf_counter()
+        result = ipc_check_bounded(parse("p -> p"), 10**9)
+        assert time.perf_counter() - start < 0.5
+        assert isinstance(result, ValidUpToBound)
+        assert result.bound == 10**9
+
+    def test_huge_bound_gives_the_small_bound_answer(self):
+        # every corpus formula settles by height 4, so a bound past the
+        # fixpoint must return the same countermodel or the same verdict
+        texts = dict.fromkeys([*MIXED_CORPUS, *NON_THEOREMS, *IPC_THEOREMS, *BOUNDED_VALID])
+        for text in texts:
+            small = ipc_check_bounded(parse(text), 4)
+            huge = ipc_check_bounded(parse(text), 10**9)
+            if isinstance(small, Countermodel):
+                assert huge == small, text
+            else:
+                assert huge == ValidUpToBound(small.formula, 10**9), text
