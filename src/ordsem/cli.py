@@ -67,8 +67,11 @@ def _load_algebra(path: str) -> brouwer.BrouwerAlgebra:
 
 def cmd_algebra(args: argparse.Namespace) -> int:
     algebra = _load_algebra(args.input)
+    report = brouwer.verify_brouwer(algebra)
     if args.action == "verify":
-        return _report_exit(brouwer.verify_brouwer(algebra), args.json, "algebra")
+        return _report_exit(report, args.json, "algebra")
+    if not report.ok:
+        raise InputError(f"not a Brouwer algebra: {report.violations[0]}")
     quotient = brouwer.quotient(algebra, args.element)
     print(json.dumps(brouwer.algebra_to_json(quotient), sort_keys=True))
     return 0

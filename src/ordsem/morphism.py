@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import CapacityError, InputError, PreconditionError, Report
@@ -44,6 +43,9 @@ def pmorphism_from_labels(
     missing = set(source.elements) - set(mapping)
     if missing:
         raise InputError(f"map is not total; missing {sorted(missing)}")
+    unknown = set(mapping) - set(source.elements)
+    if unknown:
+        raise InputError(f"map names unknown source elements {sorted(unknown)}")
     return PMorphism(
         source,
         target,
@@ -140,14 +142,6 @@ def transfer_check(source: Poset, target: Poset, corpus: Iterable[Formula]) -> R
     return Report(checked=checked, violations=tuple(violations))
 
 
-def brute_force_exists(source: Poset, target: Poset) -> bool:
-    """Oracle: scan all |target|^|source| maps for a valid p-morphism."""
-    for mapping in product(range(target.n), repeat=source.n):
-        if verify_pmorphism(PMorphism(source, target, mapping)).ok:
-            return True
-    return False
-
-
 def pmorphism_to_json(m: PMorphism) -> dict:
     return {
         "source": poset_to_json(m.source),
@@ -172,7 +166,12 @@ def pmorphism_from_json(data: object) -> PMorphism:
         for p in pairs
     ):
         raise InputError('"map" must be a list of [source, target] pairs of element labels')
-    return pmorphism_from_labels(source, target, {a: b for a, b in pairs})
+    mapping: dict[str, str] = {}
+    for a, b in pairs:
+        if a in mapping:
+            raise InputError(f"map lists source element {a!r} twice")
+        mapping[a] = b
+    return pmorphism_from_labels(source, target, mapping)
 
 
 def pmorphism_dumps(m: PMorphism) -> str:

@@ -228,4 +228,7 @@ def mass_problem_from_json(data: object) -> MassProblem:
     if not isinstance(data, dict) or "poset" not in data or "members" not in data:
         raise InputError('mass problem JSON needs "poset" and "members" keys')
     poset = poset_from_json(data["poset"])
-    return mass_problem(poset, data["members"])
+    members = data["members"]
+    if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+        raise InputError('"members" must be a list of element labels')
+    return mass_problem(poset, members)

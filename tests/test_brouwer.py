@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import random
+import time
 
 import pytest
 
@@ -14,8 +16,128 @@ from ordsem.brouwer import (
     upset_algebra,
     verify_brouwer,
 )
-from ordsem.errors import InputError
-from ordsem.order import from_relation, generate_posets, random_posets
+from ordsem.errors import InputError, Report
+from ordsem.order import bits, from_relation, generate_posets, join_index, random_posets
+from ordsem.semantics import binary_tree_frame
+
+# -- reference: the loop-based verify_brouwer as it stood before the
+# certificates, every clause over every instance; the oracle for them --------
+
+
+def ref_verify_brouwer(algebra):
+    n = algebra.n
+    up, down = algebra.up, algebra.down
+    join, meet, impl = algebra.join, algebra.meet, algebra.impl
+    car = algebra.carrier
+    violations = []
+    checked = 0
+
+    for x in range(n):
+        checked += 2
+        if not algebra.leq(algebra.bottom, x):
+            violations.append(f"bounds: 0 !<= {car[x]!r}")
+        if not algebra.leq(x, algebra.top):
+            violations.append(f"bounds: {car[x]!r} !<= 1")
+
+    for a in range(n):
+        for b in range(n):
+            checked += 2
+            ub = up[a] & up[b]
+            j = join[a][b]
+            if up[j] != ub:
+                violations.append(f"join: {car[a]!r} (+) {car[b]!r} = {car[j]!r} is not the lub")
+            lb = down[a] & down[b]
+            m = meet[a][b]
+            if down[m] != lb:
+                violations.append(f"meet: {car[a]!r} (x) {car[b]!r} = {car[m]!r} is not the glb")
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                checked += 2
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    violations.append(
+                        f"distributivity: (x) over (+) fails at "
+                        f"({car[a]!r}, {car[b]!r}, {car[c]!r})"
+                    )
+                if join[a][meet[b][c]] != meet[join[a][b]][join[a][c]]:
+                    violations.append(
+                        f"distributivity: (+) over (x) fails at "
+                        f"({car[a]!r}, {car[b]!r}, {car[c]!r})"
+                    )
+
+    for a in range(n):
+        for b in range(n):
+            checked += 1
+            sat = 0
+            for c in range(n):
+                if algebra.leq(b, join[a][c]):
+                    sat |= 1 << c
+            e = impl[a][b]
+            if not (sat >> e) & 1 or sat & ~up[e]:
+                violations.append(
+                    f"residuation: {car[a]!r} -> {car[b]!r} = {car[e]!r} is not the "
+                    f"least c with {car[b]!r} <= {car[a]!r} (+) c"
+                )
+
+    return Report(checked=checked, violations=tuple(violations))
+
+
+def small_upset_algebras():
+    return [upset_algebra(p) for n in (1, 2, 3, 4) for p in generate_posets(n)]
+
+
+def lattice_algebra(poset, rng):
+    """The poset as a table algebra when it is a bounded lattice, else None.
+
+    a -> b is the least c with b <= a (+) c where one exists and a seeded
+    arbitrary element elsewhere (only a non-distributive lattice lacks one).
+    """
+    n = poset.n
+
+    def glb(i, j):
+        lb = poset.down[i] & poset.down[j]
+        return next((k for k in bits(lb) if poset.down[k] == lb), None)
+
+    join = [[join_index(poset, a, b) for b in range(n)] for a in range(n)]
+    meet = [[glb(a, b) for b in range(n)] for a in range(n)]
+    if any(None in row for row in join + meet):
+        return None
+
+    def least(a, b):
+        sat = sum(1 << c for c in range(n) if (poset.up[b] >> join[a][c]) & 1)
+        return next((c for c in bits(sat) if poset.up[c] & sat == sat), None)
+
+    impl = [[least(a, b) for b in range(n)] for a in range(n)]
+    impl = [[rng.randrange(n) if c is None else c for c in row] for row in impl]
+    full = poset.full_mask
+    return BrouwerAlgebra(
+        carrier=poset.elements,
+        up=poset.up,
+        join=tuple(map(tuple, join)),
+        meet=tuple(map(tuple, meet)),
+        impl=tuple(map(tuple, impl)),
+        bottom=poset.up.index(full),
+        top=poset.down.index(full),
+    )
+
+
+def corrupted(algebra, rng):
+    """One cell of one table set to another in-range value.
+
+    A join cell (a, b) changes only where a !<= b, and never to b, so the
+    constructor's order agreement (a <= b iff a (+) b = b) still holds.
+    """
+    name = rng.choice(("join", "meet", "impl"))
+    table = [list(row) for row in getattr(algebra, name)]
+    a, b = rng.randrange(algebra.n), rng.randrange(algebra.n)
+    if name == "join" and algebra.leq(a, b):
+        return None
+    choices = [v for v in range(algebra.n) if v != table[a][b] and (name != "join" or v != b)]
+    if not choices:
+        return None
+    table[a][b] = rng.choice(choices)
+    return dataclasses.replace(algebra, **{name: tuple(map(tuple, table))})
 
 
 class TestUpsetAlgebra:
@@ -138,6 +260,71 @@ class TestVerifyBrouwer:
                         if all(algebra.leq(c, d) for d in candidates)
                     ]
                     assert least == [algebra.impl[a][b]]
+
+
+class TestVerifyAgainstReference:
+    def test_every_small_upset_algebra(self):
+        algebras = small_upset_algebras()
+        assert len(algebras) == 242
+        for algebra in algebras:
+            report = verify_brouwer(algebra)
+            assert report.ok and report == ref_verify_brouwer(algebra)
+
+    def test_every_small_lattice(self):
+        rng = random.Random(6)
+        lattices = non_distributive = 0
+        for n in (1, 2, 3, 4, 5):
+            for poset in generate_posets(n):
+                algebra = lattice_algebra(poset, rng)
+                if algebra is None:
+                    continue
+                lattices += 1
+                report = verify_brouwer(algebra)
+                assert report == ref_verify_brouwer(algebra), poset.up
+                non_distributive += not report.ok
+        # 1 + 2 + 6 + 36 + 380 labelled lattices; M3 (20) and N5 (120)
+        assert (lattices, non_distributive) == (425, 140)
+
+    def test_seeded_single_cell_corruptions(self):
+        rng = random.Random(6)
+        pool = small_upset_algebras()
+        cases = violating = 0
+        while cases < 1500:
+            algebra = corrupted(rng.choice(pool), rng)
+            if algebra is None:
+                continue
+            cases += 1
+            report = verify_brouwer(algebra)
+            assert report == ref_verify_brouwer(algebra)
+            violating += not report.ok
+        assert violating == cases
+
+
+class TestTreeAlgebra:
+    """The upset algebra of 2^{<4}, 677 elements: the largest tree frame
+    whose algebra the tables hold (2^{<5} has 458330 upsets)."""
+
+    @pytest.fixture(scope="class")
+    def tree_algebra(self):
+        return upset_algebra(binary_tree_frame(4))
+
+    def test_verifies_within_budget(self, tree_algebra):
+        n = tree_algebra.n
+        assert n == 677
+        start = time.perf_counter()
+        report = verify_brouwer(tree_algebra)
+        elapsed = time.perf_counter() - start
+        assert report == Report(checked=2 * n + 3 * n**2 + 2 * n**3)
+        assert elapsed < 5, f"verify_brouwer took {elapsed:.1f}s (> 5s)"
+
+    def test_quotient_is_the_interval(self, tree_algebra):
+        for x in random.Random(6).sample(tree_algebra.carrier, 4):
+            quot = quotient(tree_algebra, x)
+            interval, hom = interval_algebra(tree_algebra, x)
+            assert hom.target == quot
+            assert hom.verify().ok
+            assert (interval.join, interval.meet, interval.impl) == (quot.join, quot.meet, quot.impl)
+            assert verify_brouwer(quot).ok
 
 
 class TestQuotient:

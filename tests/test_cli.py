@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from ordsem.brouwer import algebra_to_json, upset_algebra
 from ordsem.cli import main
+from ordsem.order import poset_from_json, poset_to_json
+from ordsem.semantics import binary_tree_frame
 
 
 @pytest.fixture
@@ -80,6 +83,32 @@ class TestAlgebra:
         assert main(["algebra", "verify", str(dump)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+    def test_non_brouwer_dump_is_not_factored(self, tmp_path, capsys):
+        # the fork's upset algebra, its meet sending {} (x) {l} to {}
+        data = algebra_to_json(upset_algebra(poset_from_json(FORK)))
+        empty, left = data["carrier"].index("{}"), data["carrier"].index("{l}")
+        data["meet"][empty][left] = empty
+        dump = tmp_path / "alg.json"
+        dump.write_text(json.dumps(data))
+        assert main(["algebra", "verify", str(dump)]) == 1
+        capsys.readouterr()
+        assert main(["algebra", "quotient", str(dump), "-x", "{l}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: not a Brouwer algebra: meet: '{}' (x) '{l}' = '{}' is not the glb\n"
+        )
+
+    def test_verify_tree_of_height_four(self, tmp_path, capsys):
+        # 677 upsets: 2 * 677 + 3 * 677^2 + 2 * 677^3 instances
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(poset_to_json(binary_tree_frame(4))))
+        assert main(["algebra", "verify", str(tree), "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"checked": 621953807, "ok": true, "subject": "algebra", "violations": []}\n'
+        )
 
 
 class TestMuchnik:
@@ -180,6 +209,27 @@ class TestPmorphism:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([["r", "b"], ["r", "a"], ["l", "b"], ["k", "b"]], "source element 'r' twice"),
+            ([["r", "a"], ["l", "b"], ["k", "b"], ["zzz", "a"]], "unknown source elements ['zzz']"),
+        ],
+        ids=["duplicate-source", "unknown-source"],
+    )
+    def test_map_lists_each_source_element_once(
+        self, pairs, message, fork_path, chain_path, tmp_path, capsys
+    ):
+        main(["pmorphism", "search", fork_path, chain_path])
+        data = json.loads(capsys.readouterr().out)
+        data["map"] = pairs
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(data))
+        assert main(["pmorphism", "verify", str(m)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestSplit:

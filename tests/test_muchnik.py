@@ -279,3 +279,12 @@ class TestJson:
         again = mass_problem_from_json(mass_problem_to_json(problem))
         assert again.poset == problem.poset
         assert again.mask == problem.mask
+
+    @pytest.mark.parametrize(
+        "members", [[["m1"]], "m1", [1], None], ids=["nested-list", "string", "integer", "null"]
+    )
+    def test_members_must_be_a_list_of_labels(self, members, diamond):
+        data = mass_problem_to_json(mass_problem(diamond, ("m1",)))
+        data["members"] = members
+        with pytest.raises(InputError, match="members"):
+            mass_problem_from_json(data)
