@@ -58,21 +58,28 @@ def cmd_upsets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_algebra(path: str) -> brouwer.BrouwerAlgebra:
+def _load_algebra(path: str, *, verify_dump: bool) -> brouwer.BrouwerAlgebra:
+    """The upset algebra of a poset file, or an algebra dump.
+
+    With ``verify_dump`` a dump is refused unless it verifies as a Brouwer
+    algebra; an upset algebra is one by construction.
+    """
     data = _load_json(path)
-    if isinstance(data, dict) and "carrier" in data:
-        return brouwer.algebra_from_json(data)
-    return brouwer.upset_algebra(order.poset_from_json(data))
+    if not (isinstance(data, dict) and "carrier" in data):
+        return brouwer.upset_algebra(order.poset_from_json(data))
+    algebra = brouwer.algebra_from_json(data)
+    if verify_dump:
+        report = brouwer.verify_brouwer(algebra)
+        if not report.ok:
+            raise InputError(f"not a Brouwer algebra: {report.violations[0]}")
+    return algebra
 
 
 def cmd_algebra(args: argparse.Namespace) -> int:
-    algebra = _load_algebra(args.input)
-    report = brouwer.verify_brouwer(algebra)
     if args.action == "verify":
+        report = brouwer.verify_brouwer(_load_algebra(args.input, verify_dump=False))
         return _report_exit(report, args.json, "algebra")
-    if not report.ok:
-        raise InputError(f"not a Brouwer algebra: {report.violations[0]}")
-    quotient = brouwer.quotient(algebra, args.element)
+    quotient = brouwer.quotient(_load_algebra(args.input, verify_dump=True), args.element)
     print(json.dumps(brouwer.algebra_to_json(quotient), sort_keys=True))
     return 0
 
@@ -87,7 +94,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.algebra is not None:
         if args.mode == "frame":
             raise InputError("--mode frame needs a poset input (--frame)")
-        structure: semantics.Structure = _load_algebra(args.algebra)
+        structure: semantics.Structure = _load_algebra(args.algebra, verify_dump=True)
     else:
         poset = order.poset_from_json(_load_json(args.frame))
         structure = brouwer.upset_algebra(poset) if args.mode == "algebra" else poset
@@ -103,8 +110,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_theory(args: argparse.Namespace) -> int:
     formula = parse(args.formula)
     if args.algebra is not None:
-        algebra = _load_algebra(args.algebra)
-        holds = semantics.theory_contains(algebra, formula)
+        holds = semantics.theory_contains(_load_algebra(args.algebra, verify_dump=True), formula)
         data = {"formula": pretty(formula), "mode": "algebra", "holds": holds}
         human = f"{pretty(formula)}: {'in' if holds else 'not in'} the algebra theory"
     else:

@@ -94,6 +94,9 @@ BOUNDED_REFUTED: tuple[str, ...] = (
     "((p -> q) -> p) -> p",
     "(p -> q) | (q -> p)",
     "~~p -> p",
+    # first refuted at height 3: bounded depth bd2, and Kreisel-Putnam
+    "p2 | (p2 -> (p1 | ~p1))",
+    "(~p -> q | r) -> (~p -> q) | (~p -> r)",
 )
 
 

@@ -79,22 +79,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     return free_vars(f.left) | free_vars(f.right)
 
 
-def subformulas(f: Formula) -> list[Formula]:
-    """Distinct subformulas in child-first order."""
-    seen: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        if isinstance(g, (And, Or, Imp)):
-            walk(g.left)
-            walk(g.right)
-        seen[g] = None
-
-    walk(f)
-    return list(seen)
-
-
 class ParseError(InputError):
     """Syntax error carrying the byte offset and the expected token set."""
 

@@ -3,22 +3,26 @@
 A formula holds in a Brouwer algebra when it evaluates to 0: conjunction
 lands on the lattice join, disjunction on the meet and falsum on 1.  On a
 frame, forcing is evaluation in the upset algebra, run on upset masks by
-the same compiled program; the two routes define the same theory.
+the same compiled program; the two routes define the same theory.  Each
+formula is compiled once, and its program is the only form evaluated.
 
 Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
 proves non-membership, while "valid up to the bound" is exactly that.
+The decision closes sets of forced program slots ("profiles") level by
+level up the tree, under the caller's valuation budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache
+from itertools import product
 from typing import Mapping, Union
 
 from .brouwer import BrouwerAlgebra, impl_mask
 from .errors import CapacityError, InputError, ValuationError
-from .formulas import And, Bot, Formula, Imp, Or, Var, free_vars, subformulas
+from .formulas import BOT, And, Formula, Imp, Or, Var, free_vars
 from .order import Poset, Upset, upset_masks
 
 MAX_VALUATIONS = 2_000_000
@@ -31,28 +35,28 @@ _OPCODE = {And: _AND, Or: _OR, Imp: _IMP}
 Structure = Union[BrouwerAlgebra, Poset]
 
 
-def _compile(f: Formula) -> tuple[list[str], list[tuple[int, int, int]], int]:
+@cache
+def _compile(f: Formula) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...], int]:
     """Post-order straight-line program for f: (names, steps, root).
 
     Slots 0..k-1 hold the sorted variables and slot k falsum; step i reads
-    two earlier slots and writes slot k+1+i.  f's value ends in ``root``.
+    two earlier slots and writes slot k+1+i.  Each distinct subformula has
+    one slot, and f's value ends in ``root``.  The program is cached per
+    formula and shared by every caller, hence the tuples.
     """
-    names = sorted(free_vars(f))
-    index = {name: i for i, name in enumerate(names)}
-    bot = len(names)
+    names = tuple(sorted(free_vars(f)))
+    slot: dict[Formula, int] = {Var(name): i for i, name in enumerate(names)}
+    slot[BOT] = len(names)
     steps: list[tuple[int, int, int]] = []
 
     def walk(g: Formula) -> int:
-        if isinstance(g, Var):
-            return index[g.name]
-        if isinstance(g, Bot):
-            return bot
-        a = walk(g.left)
-        b = walk(g.right)
-        steps.append((_OPCODE[type(g)], a, b))
-        return bot + len(steps)
+        if g not in slot:
+            steps.append((_OPCODE[type(g)], walk(g.left), walk(g.right)))
+            slot[g] = len(slot)
+        return slot[g]
 
-    return names, steps, walk(f)
+    root = walk(f)
+    return names, tuple(steps), root
 
 
 def _backend(structure: Structure) -> tuple[tuple | None, int, int]:
@@ -64,7 +68,7 @@ def _backend(structure: Structure) -> tuple[tuple | None, int, int]:
     raise InputError(f"cannot compute a theory over {type(structure).__name__}")
 
 
-def _run(steps: list, root: int, slots: list, tables: tuple | None, structure: Structure) -> int:
+def _run(steps: tuple, root: int, slots: list, tables: tuple | None, structure: Structure) -> int:
     """Run a program from its filled variable and falsum slots."""
     for op, a, b in steps:
         x, y = slots[a], slots[b]
@@ -222,70 +226,58 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
     """Search 2^{<k} for k = 1..max_height for a refuting valuation.
 
     Per level, refutability is decided exactly by a closure over point
-    profiles (which subformulas a point can force); only when a level is
-    refutable is the valuation space enumerated, to extract the smallest-k,
-    lexicographically-first countermodel.  Each level's profiles depend
-    only on the previous level's, so the search stops at the first level
-    whose profile set repeats an earlier one.  A countermodel is
-    conclusive; validity is only up to the bound.
+    profiles: bit i of a profile says that the point forces slot i of f's
+    compiled program, so the atoms are the low bits and f is the root's
+    bit.  A node's profile follows from its atoms and the profiles its two
+    children share, so each level is built from the previous one, and the
+    search stops at the first level whose profile set repeats an earlier
+    one.  The pairings of the previous level's profiles and the closures
+    they need, one per atom set and shared child profile, are charged to
+    ``max_valuations`` before each level runs; a level that would exceed
+    it raises CapacityError.  Only when a level is refutable is the
+    valuation space enumerated, to extract the smallest-k,
+    lexicographically-first countermodel.  A countermodel is conclusive;
+    validity is only up to the bound.
     """
     if max_height < 1:
         raise InputError(f"max height must be >= 1, got {max_height}")
-    subs = subformulas(f)
-    position = {g: i for i, g in enumerate(subs)}
-    var_bits = {g: 1 << position[g] for g in subs if isinstance(g, Var)}
-    goal_bit = 1 << position[f]
-    atom_mask = 0
-    for bit in var_bits.values():
-        atom_mask |= bit
+    names, steps, root = _compile(f)
+    atoms = (1 << len(names)) - 1
 
-    def close(atoms: int, below0: int | None, below1: int | None) -> int:
-        profile = atoms
-        for g in subs:
-            bit = 1 << position[g]
-            if isinstance(g, Var) or isinstance(g, Bot):
-                continue
-            lbit = 1 << position[g.left]
-            rbit = 1 << position[g.right]
-            if isinstance(g, And):
-                if profile & lbit and profile & rbit:
-                    profile |= bit
-            elif isinstance(g, Or):
-                if profile & (lbit | rbit):
-                    profile |= bit
-            else:
-                local = not (profile & lbit) or bool(profile & rbit)
-                above = True if below0 is None else bool(below0 & bit and below1 & bit)
-                if local and above:
-                    profile |= bit
+    def close(profile: int, shared: int) -> int:
+        for slot, (op, a, b) in enumerate(steps, len(names) + 1):
+            x, y = profile >> a & 1, profile >> b & 1
+            if op == _AND:
+                forced = x and y
+            elif op == _OR:
+                forced = x or y
+            else:  # forced here and at both children
+                forced = (not x or y) and shared >> slot & 1
+            if forced:
+                profile |= 1 << slot
         return profile
 
-    def atom_subsets(mask: int) -> list[int]:
-        positions = [1 << i for i in range(mask.bit_length()) if (mask >> i) & 1]
-        out = []
-        for r in range(len(positions) + 1):
-            for combo in combinations(positions, r):
-                sub = 0
-                for b in combo:
-                    sub |= b
-                out.append(sub)
-        return out
-
-    level_profiles: set[int] = set()
-    previous: set[int] = set()
+    previous = {-1}  # a leaf closes as if its children forced every slot
     seen: set[frozenset[int]] = set()
+    spent = 0
     for k in range(1, max_height + 1):
-        if k == 1:
-            current = {close(a, None, None) for a in atom_subsets(atom_mask)}
-        else:
-            current = set()
-            for p0 in previous:
-                for p1 in previous:
-                    common = p0 & p1 & atom_mask
-                    for a in atom_subsets(common):
-                        current.add(close(a, p0, p1))
-        level_profiles |= current
-        if any(not (p & goal_bit) for p in level_profiles):
+        spent += len(previous) ** 2
+        if spent <= max_valuations:
+            shared_sets = {p0 & p1 for p0 in previous for p1 in previous}
+            spent += sum(1 << (shared & atoms).bit_count() for shared in shared_sets)
+        if spent > max_valuations:
+            raise CapacityError(
+                f"profile guard: {spent} pairings and closures by height {k} exceed {max_valuations}"
+            )
+        current = set()
+        for shared in shared_sets:
+            common = sub = shared & atoms
+            while True:  # every atom set that persists into both children
+                current.add(close(sub, shared))
+                if not sub:
+                    break
+                sub = (sub - 1) & common
+        if any(not p >> root & 1 for p in current):
             frame = binary_tree_frame(k)
             witness = frame_witness(frame, f, max_valuations=max_valuations)
             if witness is None:  # profile closure said refutable; enumeration must agree

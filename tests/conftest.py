@@ -1,6 +1,22 @@
 import pytest
+from hypothesis import strategies as st
 
+from ordsem.formulas import BOT, And, Imp, Or, Var
 from ordsem.order import from_relation
+
+
+def formulas(max_depth: int, names: str = "pqr"):
+    """Hypothesis strategy: formulas over the one-letter variables in names and falsum."""
+    atoms = st.one_of(st.sampled_from([Var(name) for name in names]), st.just(BOT))
+    return st.recursive(
+        atoms,
+        lambda children: st.one_of(
+            st.builds(And, children, children),
+            st.builds(Or, children, children),
+            st.builds(Imp, children, children),
+        ),
+        max_leaves=2 ** max_depth,
+    )
 
 
 @pytest.fixture

@@ -86,20 +86,13 @@ class TestAlgebra:
 
 
     def test_non_brouwer_dump_is_not_factored(self, tmp_path, capsys):
-        # the fork's upset algebra, its meet sending {} (x) {l} to {}
-        data = algebra_to_json(upset_algebra(poset_from_json(FORK)))
-        empty, left = data["carrier"].index("{}"), data["carrier"].index("{l}")
-        data["meet"][empty][left] = empty
-        dump = tmp_path / "alg.json"
-        dump.write_text(json.dumps(data))
-        assert main(["algebra", "verify", str(dump)]) == 1
+        dump = broken_fork_dump(tmp_path)
+        assert main(["algebra", "verify", dump]) == 1
         capsys.readouterr()
-        assert main(["algebra", "quotient", str(dump), "-x", "{l}"]) == 2
+        assert main(["algebra", "quotient", dump, "-x", "{l}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: not a Brouwer algebra: meet: '{}' (x) '{l}' = '{}' is not the glb\n"
-        )
+        assert captured.err == NOT_BROUWER
 
     def test_verify_tree_of_height_four(self, tmp_path, capsys):
         # 677 upsets: 2 * 677 + 3 * 677^2 + 2 * 677^3 instances
@@ -109,6 +102,19 @@ class TestAlgebra:
         assert capsys.readouterr().out == (
             '{"checked": 621953807, "ok": true, "subject": "algebra", "violations": []}\n'
         )
+
+
+def broken_fork_dump(tmp_path) -> str:
+    """The fork's upset algebra, its meet sending {} (x) {l} to {}."""
+    data = algebra_to_json(upset_algebra(poset_from_json(FORK)))
+    empty, left = data["carrier"].index("{}"), data["carrier"].index("{l}")
+    data["meet"][empty][left] = empty
+    dump = tmp_path / "alg.json"
+    dump.write_text(json.dumps(data))
+    return str(dump)
+
+
+NOT_BROUWER = "error: not a Brouwer algebra: meet: '{}' (x) '{l}' = '{}' is not the glb\n"
 
 
 class TestMuchnik:
@@ -137,6 +143,13 @@ class TestCheckAndTheory:
         data = json.loads(capsys.readouterr().out)
         assert data["witness"]["point"] == "a"
         assert data["witness"]["valuation"] == {"p": ["b"]}
+
+    @pytest.mark.parametrize("command", ["check", "theory"])
+    def test_non_brouwer_dump_is_refused(self, command, tmp_path, capsys):
+        assert main([command, "p -> p", "--algebra", broken_fork_dump(tmp_path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == NOT_BROUWER
 
     def test_parse_error_exits_two(self, chain_path):
         assert main(["check", "p ->", "--frame", chain_path]) == 2
@@ -172,6 +185,12 @@ class TestIpc:
             "formula": "p -> p",
             "result": "valid-up-to-bound",
         }
+
+    def test_profile_guard_exits_two(self, capsys):
+        # 11 variables: 2^11 profiles at height 1, so 2^22 pairings at height 2
+        formula = "p0 -> p0 | " + " | ".join(f"q{i}" for i in range(1, 11))
+        assert main(["ipc", formula, "--max-height", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: profile guard: ")
 
 
 class TestPmorphism:

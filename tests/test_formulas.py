@@ -1,13 +1,13 @@
 """Grammar, desugaring, error reporting and print/parse round-trips."""
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import formulas
+from hypothesis import given
 
 from ordsem.formulas import (
     BOT,
     MAX_DEPTH,
     And,
-    Bot,
     Imp,
     Or,
     ParseError,
@@ -16,7 +16,6 @@ from ordsem.formulas import (
     neg,
     parse,
     pretty,
-    subformulas,
 )
 
 
@@ -103,23 +102,8 @@ class TestPretty:
         assert pretty(parse("p -> bot")) == "~p"
 
 
-def _formulas(max_depth: int):
-    atoms = st.one_of(
-        st.sampled_from([Var("p"), Var("q"), Var("r")]), st.just(BOT)
-    )
-    return st.recursive(
-        atoms,
-        lambda children: st.one_of(
-            st.builds(And, children, children),
-            st.builds(Or, children, children),
-            st.builds(Imp, children, children),
-        ),
-        max_leaves=2 ** max_depth,
-    )
-
-
 class TestRoundTripProperty:
-    @given(_formulas(4))
+    @given(formulas(4))
     def test_parse_of_pretty_is_identity(self, ast):
         assert parse(pretty(ast)) == ast
 
@@ -128,8 +112,3 @@ class TestHelpers:
     def test_free_vars(self):
         assert free_vars(parse("p -> (q & ~p)")) == {"p", "q"}
         assert free_vars(BOT) == frozenset()
-
-    def test_subformulas_child_first(self):
-        subs = subformulas(parse("p -> (p & q)"))
-        assert subs.index(Var("p")) < subs.index(And(Var("p"), Var("q")))
-        assert len(subs) == 4

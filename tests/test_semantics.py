@@ -8,6 +8,8 @@ import time
 from itertools import product
 
 import pytest
+from conftest import formulas
+from hypothesis import given, settings
 
 from ordsem import semantics
 from ordsem.brouwer import upset_algebra
@@ -63,6 +65,30 @@ def pointwise_forces(frame, x, env, f):
         for y in range(frame.n)
         if (frame.up[x] >> y) & 1
     )
+
+
+def assert_least_refuting_height(formula):
+    """Bounded IPC answers with the least refuting tree height, per enumeration."""
+    for bound in (1, 2, 3):
+        least = next(
+            (k for k in range(1, bound + 1) if frame_witness(binary_tree_frame(k), formula) is not None),
+            None,
+        )
+        result = ipc_check_bounded(formula, bound)
+        if least is None:
+            assert result == ValidUpToBound(formula, bound)
+        else:
+            assert result.height == least
+            assert not forces(result.frame, result.point, result.valuation, formula)
+
+
+class TestCompile:
+    def test_one_step_per_distinct_subformula(self):
+        # slots: p, q, falsum, then p & q, then the implication
+        program = semantics._compile(parse("p -> (p & q)"))
+        assert program == (("p", "q"), ((semantics._AND, 0, 1), (semantics._IMP, 0, 3)), 4)
+        assert semantics._compile(parse("p -> (p & q)")) is program
+        assert len(semantics._compile(parse("(p & q) -> (p & q)"))[1]) == 2
 
 
 class TestEvalAlgebra:
@@ -261,14 +287,24 @@ class TestIpcCheckBounded:
             assert result.height <= 3
 
     def test_profile_search_agrees_with_enumeration(self):
-        # the per-level refutability decision vs. plain witness search
-        for text in MIXED_CORPUS:
-            formula = parse(text)
-            for height in (1, 2, 3):
-                frame = binary_tree_frame(height)
-                has_witness = frame_witness(frame, formula) is not None
-                result = ipc_check_bounded(formula, height)
-                assert isinstance(result, Countermodel) == has_witness
+        for text in dict.fromkeys([*MIXED_CORPUS, *BOUNDED_VALID, *BOUNDED_REFUTED]):
+            assert_least_refuting_height(parse(text))
+
+    @settings(deadline=None)
+    @given(formulas(3, names="pq"))
+    def test_profile_search_agrees_on_random_formulas(self, formula):
+        assert_least_refuting_height(formula)
+
+    def test_profile_guard_charges_the_caller_budget(self):
+        # one pairing and 2 closures at height 1
+        with pytest.raises(CapacityError, match="profile guard: 3 pairings and closures by height 1"):
+            ipc_check_bounded(parse("p | ~p"), 3, max_valuations=2)
+        wide = "p0 -> p0 | " + " | ".join(f"q{i}" for i in range(1, 9))
+        assert isinstance(ipc_check_bounded(parse(wide), 3), ValidUpToBound)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="profile guard"):
+            ipc_check_bounded(parse(wide + " | q9 | q10"), 3)
+        assert time.perf_counter() - start < 0.5
 
     def test_bad_bound(self):
         with pytest.raises(InputError):
