@@ -70,15 +70,13 @@ def pointwise_forces(frame, x, env, f):
 def assert_least_refuting_height(formula):
     """Bounded IPC answers with the least refuting tree height, per enumeration."""
     for bound in (1, 2, 3):
-        least = next(
-            (k for k in range(1, bound + 1) if frame_witness(binary_tree_frame(k), formula) is not None),
-            None,
-        )
+        refuting = (k for k in range(1, bound + 1) if frame_witness(binary_tree_frame(k), formula))
+        least = next(refuting, None)
         result = ipc_check_bounded(formula, bound)
         if least is None:
             assert result == ValidUpToBound(formula, bound)
         else:
-            assert result.height == least
+            assert isinstance(result, Countermodel) and result.height == least
             assert not forces(result.frame, result.point, result.valuation, formula)
 
 
