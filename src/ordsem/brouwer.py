@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .errors import InputError, Report
 from .order import Poset, bits, upset_masks
@@ -19,41 +21,45 @@ MAX_CARRIER = 1 << 10  # keeps the three n*n tables within ~2^20 entries
 
 @dataclass(frozen=True)
 class BrouwerAlgebra:
-    """Table-based algebra; ``up[i]`` masks the carrier elements >= i."""
+    """A carrier and its (+), (x) and -> tables, by carrier index.
+
+    The order, 0 and 1 are read off the join table once, at construction:
+    a <= b iff a (+) b = b, so ``up[a]`` masks the b with join[a][b] == b;
+    0 is the element below all others and 1 the element above them.
+    """
 
     carrier: tuple[str, ...]
-    up: tuple[int, ...]
     join: tuple[tuple[int, ...], ...]
     meet: tuple[tuple[int, ...], ...]
     impl: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
 
     def __post_init__(self) -> None:
         n = len(self.carrier)
-        if n == 0:
-            raise InputError("empty carrier")
         if n > MAX_CARRIER:
             raise InputError(f"carrier guard: {n} > {MAX_CARRIER}")
         if len(set(self.carrier)) != n:
             raise InputError("duplicate carrier labels")
-        # Validates the order axioms.  Set like a field, not through __dict__
-        # as cached_property does, which would slow every later field read.
-        object.__setattr__(self, "_order", Poset(self.carrier, self.up))
         for name, table in (("join", self.join), ("meet", self.meet), ("impl", self.impl)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise InputError(f"{name} table is not total on carrier^2")
             if any(not 0 <= v < n for row in table for v in row):
                 raise InputError(f"{name} table holds an out-of-range index")
-        if not (0 <= self.bottom < n and 0 <= self.top < n):
-            raise InputError("bottom/top out of range")
-        for a in range(n):
-            for b in range(n):
-                if ((self.up[a] >> b) & 1 == 1) != (self.join[a][b] == b):
-                    raise InputError(
-                        f"stored order disagrees with join table at "
-                        f"({self.carrier[a]!r}, {self.carrier[b]!r})"
-                    )
+        up = tuple(sum(1 << b for b, j in enumerate(row) if j == b) for row in self.join)
+        full = (1 << n) - 1
+        above_all = reduce(and_, up, full)  # the elements whose down-cone is full
+        if full not in up or not above_all:
+            raise InputError("join table does not define a bounded order")
+        # Poset validates the order axioms.  Set like fields, not through
+        # __dict__ as cached_property does, which would slow every later
+        # field read.
+        object.__setattr__(self, "_order", Poset(self.carrier, up))
+        object.__setattr__(self, "bottom", up.index(full))
+        object.__setattr__(self, "top", above_all.bit_length() - 1)
+
+    @property
+    def up(self) -> tuple[int, ...]:
+        """``up[i]`` masks the carrier elements >= i."""
+        return self._order.up
 
     @property
     def n(self) -> int:
@@ -79,7 +85,7 @@ class BrouwerAlgebra:
             raise InputError(f"unknown carrier element {label!r}") from None
 
     def leq(self, a: int, b: int) -> bool:
-        return (self.up[a] >> b) & 1 == 1
+        return (self._order.up[a] >> b) & 1 == 1
 
 
 def upset_mask_label(poset: Poset, mask: int) -> str:
@@ -106,32 +112,23 @@ def upset_algebra(poset: Poset) -> BrouwerAlgebra:
     if len(masks) > MAX_CARRIER:
         raise InputError(f"carrier guard: {len(masks)} upsets > {MAX_CARRIER}")
     pos = {m: i for i, m in enumerate(masks)}
-    n = len(masks)
-    up = [0] * n
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mj & ~mi == 0:  # mi >= mj as sets, i.e. i <= j in the algebra
-                up[i] |= 1 << j
     join = tuple(tuple(pos[mi & mj] for mj in masks) for mi in masks)
     meet = tuple(tuple(pos[mi | mj] for mj in masks) for mi in masks)
     impl = tuple(tuple(pos[impl_mask(poset, mi, mj)] for mj in masks) for mi in masks)
-    return BrouwerAlgebra(
-        carrier=tuple(upset_mask_label(poset, m) for m in masks),
-        up=tuple(up),
-        join=join,
-        meet=meet,
-        impl=impl,
-        bottom=pos[poset.full_mask],
-        top=pos[0],
-    )
+    return BrouwerAlgebra(tuple(upset_mask_label(poset, m) for m in masks), join, meet, impl)
 
 
 def _certified(algebra: BrouwerAlgebra) -> bool:
-    """Distributivity and residuation, decided in O(n^2 log n).
+    """Residuation, and with it distributivity, decided by the adjunction.
 
     Sound only once ``join`` and ``meet`` are known to be the lub and glb
-    of the stored order.  A false answer only means that the O(n^3)
-    clauses must run to list what fails.
+    of the order.  If a -> . is left adjoint to a (+) . for every a, then
+    a (+) . is a right adjoint and preserves (x), so the lattice is
+    distributive.  The adjunction walks the lower covers, at most
+    n log2 n / 2 of them in a distributive lattice (its covers are
+    hypercube edges), so a Brouwer algebra is certified in O(n^2 log n).
+    A false answer only means that the O(n^3) clauses must run to list
+    what fails.
     """
     n = algebra.n
     up, down, join, impl = algebra.up, algebra.down, algebra.join, algebra.impl
@@ -139,21 +136,6 @@ def _certified(algebra: BrouwerAlgebra) -> bool:
     for x in range(n):
         below = down[x] & ~(1 << x)
         covers.append([y for y in bits(below) if up[y] & below == 1 << y])
-
-    # Birkhoff: with J the join-irreducibles (exactly one lower cover) and
-    # phi(x) the mask of J below x, a finite lattice is distributive iff
-    # phi(a (+) b) = phi(a) | phi(b) for all a, b.  Either distributive law
-    # implies the other.  The adjunction below implies distributivity as
-    # well (a (+) . is then a right adjoint, so it preserves (x)); this
-    # pass rejects a non-distributive lattice in O(n^2) first, and bounds
-    # the covers the adjunction walks: a distributive lattice's covers
-    # are hypercube edges, at most n log2 n / 2 of them.
-    irreducible = sum(1 << x for x in range(n) if len(covers[x]) == 1)
-    phi = [d & irreducible for d in down]
-    for a in range(n):
-        pa = phi[a]
-        if any(phi[j] != pa | p for j, p in zip(join[a], phi)):
-            return False
 
     # a -> b is the least c with b <= a (+) c for all b iff a -> . is left
     # adjoint to the monotone a (+) . : the unit b <= a (+) (a -> b), the
@@ -172,28 +154,23 @@ def _certified(algebra: BrouwerAlgebra) -> bool:
 
 
 def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
-    """Check bounds, lub/glb tables, distributivity and residuation.
+    """Check lub/glb tables, distributivity and residuation.
 
     Every violated instance is listed; an empty report certifies a Brouwer
-    algebra.  The stored order itself is validated at construction time.
-    Bounds and the lub/glb tables are checked pair by pair in O(n^2).  When
-    they hold, distributivity and residuation are decided by certificates
-    in O(n^2 log n) (join-irreducibles and the adjunction of a -> . with
-    a (+) .); only when something fails do the O(n^3) clauses run over
-    every triple, to list each violated instance.  ``checked`` counts the
-    instances those clauses stand for, 2n + 3n^2 + 2n^3, on both routes.
+    algebra.  The order, 0 and 1 are read off the join table and validated
+    at construction time, so the bounds hold by then.  The lub/glb tables
+    are checked pair by pair in O(n^2).  When they hold, residuation is
+    decided by the adjunction of a -> . with a (+) ., which implies
+    distributivity, in O(n^2 log n); only when something fails do the
+    O(n^3) clauses run over every triple, to list each violated instance.
+    ``checked`` counts the instances the clauses stand for, bounds
+    included, 2n + 3n^2 + 2n^3, on both routes.
     """
     n = algebra.n
     up, down = algebra.up, algebra.down
     join, meet, impl = algebra.join, algebra.meet, algebra.impl
     car = algebra.carrier
     violations: list[str] = []
-
-    for x in range(n):
-        if not algebra.leq(algebra.bottom, x):
-            violations.append(f"bounds: 0 !<= {car[x]!r}")
-        if not algebra.leq(x, algebra.top):
-            violations.append(f"bounds: {car[x]!r} !<= 1")
 
     for a in range(n):
         for b in range(n):
@@ -239,25 +216,16 @@ def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
 
 
 def _restrict(algebra: BrouwerAlgebra, xi: int, reps: list[int], labels: list[str]) -> BrouwerAlgebra:
-    """[0, x] tabled on the ascending ``reps``: order, (+) and (x) restricted,
-    y ->' z = (y -> z) (x) x, bottom the class of 0 and top x."""
+    """[0, x] tabled on the ascending ``reps``: (+) and (x) restricted and
+    y ->' z = (y -> z) (x) x; the constructor reads the order, 0 (the
+    class of 0) and 1 (x) off the restricted join table."""
     pos = {r: i for i, r in enumerate(reps)}
-    span = sum(1 << r for r in reps)
-    up = tuple(sum(1 << pos[s] for s in bits(algebra.up[r] & span)) for r in reps)
     join = tuple(tuple(pos[algebra.join[r][s]] for s in reps) for r in reps)
     meet = tuple(tuple(pos[algebra.meet[r][s]] for s in reps) for r in reps)
     impl = tuple(
         tuple(pos[algebra.meet[algebra.impl[r][s]][xi]] for s in reps) for r in reps
     )
-    return BrouwerAlgebra(
-        carrier=tuple(labels),
-        up=up,
-        join=join,
-        meet=meet,
-        impl=impl,
-        bottom=pos[algebra.meet[algebra.bottom][xi]],
-        top=pos[xi],
-    )
+    return BrouwerAlgebra(tuple(labels), join, meet, impl)
 
 
 def quotient(algebra: BrouwerAlgebra, x: str) -> BrouwerAlgebra:
@@ -348,7 +316,7 @@ def _index_table(data: dict, name: str) -> tuple[tuple[int, ...], ...]:
 
 
 def algebra_from_json(data: object) -> BrouwerAlgebra:
-    """Rebuild from a dump; the order is derived from the join table."""
+    """Rebuild from a dump; the constructor reads the order off ``join``."""
     if not isinstance(data, dict):
         raise InputError("algebra JSON must be an object")
     missing = [key for key in ("carrier", "join", "meet", "impl") if key not in data]
@@ -358,26 +326,7 @@ def algebra_from_json(data: object) -> BrouwerAlgebra:
     if not isinstance(carrier, list) or not all(isinstance(e, str) for e in carrier):
         raise InputError('"carrier" must be a list of strings')
     join, meet, impl = (_index_table(data, name) for name in ("join", "meet", "impl"))
-    n = len(carrier)
-    if len(join) != n or any(len(row) != n for row in join):
-        raise InputError("join table is not total on carrier^2")
-    up = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if not 0 <= join[a][b] < n:
-                raise InputError("join table holds an out-of-range index")
-            if join[a][b] == b:
-                up[a] |= 1 << b
-    bottom = top = None
-    full = (1 << n) - 1
-    for i in range(n):
-        if up[i] == full:
-            bottom = i
-        if up[i] == 1 << i and all((up[j] >> i) & 1 for j in range(n)):
-            top = i
-    if bottom is None or top is None:
-        raise InputError("join table does not define a bounded order")
-    return BrouwerAlgebra(tuple(carrier), tuple(up), join, meet, impl, bottom, top)
+    return BrouwerAlgebra(tuple(carrier), join, meet, impl)
 
 
 def algebra_dumps(algebra: BrouwerAlgebra) -> str:

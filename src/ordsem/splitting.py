@@ -371,12 +371,6 @@ class PartialHomomorphism:
     pairs: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
-    def image(self, element: object) -> str:
-        return self.pairs[element]
-
-    def domain(self) -> list:
-        return list(self.pairs)
-
     def covered_nodes(self) -> set[str]:
         return set(self.pairs.values())
 

@@ -17,7 +17,14 @@ from ordsem.brouwer import (
     verify_brouwer,
 )
 from ordsem.errors import InputError, Report
-from ordsem.order import bits, from_relation, generate_posets, join_index, random_posets
+from ordsem.order import (
+    bits,
+    from_relation,
+    generate_posets,
+    join_index,
+    random_posets,
+    upset_masks,
+)
 from ordsem.semantics import binary_tree_frame
 
 # -- reference: the loop-based verify_brouwer as it stood before the
@@ -110,23 +117,15 @@ def lattice_algebra(poset, rng):
 
     impl = [[least(a, b) for b in range(n)] for a in range(n)]
     impl = [[rng.randrange(n) if c is None else c for c in row] for row in impl]
-    full = poset.full_mask
-    return BrouwerAlgebra(
-        carrier=poset.elements,
-        up=poset.up,
-        join=tuple(map(tuple, join)),
-        meet=tuple(map(tuple, meet)),
-        impl=tuple(map(tuple, impl)),
-        bottom=poset.up.index(full),
-        top=poset.down.index(full),
-    )
+    return BrouwerAlgebra(poset.elements, *(tuple(map(tuple, t)) for t in (join, meet, impl)))
 
 
 def corrupted(algebra, rng):
     """One cell of one table set to another in-range value.
 
     A join cell (a, b) changes only where a !<= b, and never to b, so the
-    constructor's order agreement (a <= b iff a (+) b = b) still holds.
+    order the constructor reads off the join table (a <= b iff
+    a (+) b = b) stays the same.
     """
     name = rng.choice(("join", "meet", "impl"))
     table = [list(row) for row in getattr(algebra, name)]
@@ -174,32 +173,60 @@ class TestConstructor:
         assert algebra.order.up == algebra.up
         assert algebra.down is algebra.order.down
 
+    def test_four_fields(self):
+        names = [f.name for f in dataclasses.fields(BrouwerAlgebra)]
+        assert names == ["carrier", "join", "meet", "impl"]
+
+    def test_order_and_bounds_read_off_the_join_table(self, fork):
+        # upsets under reverse inclusion: i <= j iff upset j is inside upset i
+        algebra = upset_algebra(fork)
+        masks = upset_masks(fork)  # carrier index i is the upset masks[i]
+        assert algebra.up == tuple(
+            sum(1 << j for j, mj in enumerate(masks) if mj & ~mi == 0) for mi in masks
+        )
+        assert algebra.carrier[algebra.bottom] == "{r,l,k}"
+        assert algebra.carrier[algebra.top] == "{}"
+
+    def test_dump_tables_rebuild_the_upset_algebra(self, diamond):
+        algebra = upset_algebra(diamond)
+        data = json.loads(algebra_dumps(algebra))
+        tables = (tuple(map(tuple, data[name])) for name in ("join", "meet", "impl"))
+        again = BrouwerAlgebra(tuple(data["carrier"]), *tables)
+        assert again == algebra
+        assert (again.up, again.bottom, again.top) == (algebra.up, algebra.bottom, algebra.top)
+
     def test_non_antisymmetric_order(self, chain2):
         algebra = upset_algebra(chain2)
-        up = list(algebra.up)
-        up[algebra.top] |= 1 << algebra.bottom  # 1 <= 0 as well as 0 <= 1
+        join = [list(row) for row in algebra.join]
+        join[algebra.top][algebra.bottom] = algebra.bottom  # 1 <= 0 as well as 0 <= 1
         with pytest.raises(InputError, match="antisymmetric"):
-            dataclasses.replace(algebra, up=tuple(up))
+            dataclasses.replace(algebra, join=tuple(map(tuple, join)))
 
     def test_non_transitive_order(self):
-        # x <= y and y <= z but not x <= z
+        # x (+) y = y and y (+) z = z, so x <= y <= z, but x (+) z = 1
         with pytest.raises(InputError, match="transitive"):
             BrouwerAlgebra(
-                carrier=("x", "y", "z"),
-                up=(0b011, 0b110, 0b100),
-                join=((0, 1, 2),) * 3,
-                meet=((0, 0, 0),) * 3,
-                impl=((0, 0, 0),) * 3,
-                bottom=0,
-                top=2,
+                carrier=("0", "x", "y", "z", "1"),
+                join=(
+                    (0, 1, 2, 3, 4),
+                    (4, 1, 2, 4, 4),
+                    (4, 4, 2, 3, 4),
+                    (4, 4, 4, 3, 4),
+                    (4, 4, 4, 4, 4),
+                ),
+                meet=((0,) * 5,) * 5,
+                impl=((0,) * 5,) * 5,
             )
 
-    def test_join_table_disagreeing_with_order(self, chain2):
-        algebra = upset_algebra(chain2)
-        join = [list(row) for row in algebra.join]
-        join[algebra.bottom][algebra.top] = algebra.bottom  # 0 (+) 1 should be 1
-        with pytest.raises(InputError, match="disagrees with join table"):
-            dataclasses.replace(algebra, join=tuple(tuple(row) for row in join))
+    @pytest.mark.parametrize(
+        "join",
+        [((0, 1, 2), (1, 1, 1), (2, 2, 2)), ((0, 0, 2), (1, 1, 2), (2, 2, 2))],
+        ids=["no-greatest", "no-least"],
+    )
+    def test_join_table_without_bounds(self, join):
+        # the antichain {l, k} above r has no 1; the antichain {r, l} below k has no 0
+        with pytest.raises(InputError, match="join table does not define a bounded order"):
+            BrouwerAlgebra(("r", "l", "k"), join, ((0, 0, 0),) * 3, ((0, 0, 0),) * 3)
 
 
 class TestVerifyBrouwer:
@@ -402,15 +429,7 @@ def quotient_by_definition(algebra, x):
         tuple(least([c for c in range(k) if leq(b, join[a][c])]) for b in range(k))
         for a in range(k)
     )
-    return BrouwerAlgebra(
-        carrier=tuple(f"[{algebra.carrier[r]}]" for r in reps),
-        up=tuple(sum(1 << b for b in range(k) if leq(a, b)) for a in range(k)),
-        join=join,
-        meet=meet,
-        impl=impl,
-        bottom=class_of[algebra.bottom],
-        top=class_of[algebra.top],
-    )
+    return BrouwerAlgebra(tuple(f"[{algebra.carrier[r]}]" for r in reps), join, meet, impl)
 
 
 class TestQuotientByDefinition:

@@ -303,6 +303,11 @@ class TestIpcCheckBounded:
         with pytest.raises(CapacityError, match="profile guard"):
             ipc_check_bounded(parse(wide + " | q9 | q10"), 3)
         assert time.perf_counter() - start < 0.5
+        # as wide, but refuted at height 1: a refusal before height 1 ran
+        # would lose this answer, and height 1 needs its 2^11 closures anyway
+        refuted = "p0 | " + " | ".join(f"q{i}" for i in range(1, 11))
+        result = ipc_check_bounded(parse(refuted), 3)
+        assert isinstance(result, Countermodel) and result.height == 1
 
     def test_bad_bound(self):
         with pytest.raises(InputError):
