@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / property holds, 1 = checked and fails
 (countermodel found, non-empty report, missing morphism), 2 = usage or
-input error.  Output is deterministic for fixed inputs and seed.
+input error, 3 = internal error (an unexpected exception, a bug).  Output
+is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import brouwer, dot, morphism, muchnik, order, semantics, splitting
 from .errors import InputError, OrdsemError, Report, StagingError
@@ -319,6 +321,10 @@ def main(argv: list[str] | None = None) -> int:
     except OrdsemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a failed check: never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CapacityError, InputError, PreconditionError, Report
+from .errors import CapacityError, InputError, InvariantViolation, PreconditionError, Report
 from .formulas import Formula, pretty
 from .order import Poset, bits, poset_from_json, poset_to_json
 from .semantics import theory_contains
@@ -89,43 +89,61 @@ def search_pmorphism(source: Poset, target: Poset) -> PMorphism | None:
     """Lexicographically first p-morphism under canonical element order.
 
     Backtracks over assignments source element by source element, target
-    candidates ascending; prunes on monotonicity against the settled
-    prefix and on surjectivity reachability, and checks the back
-    condition on completion.
+    candidates ascending.  An element's candidates are one mask: the
+    targets above the images of the placed elements below it and below
+    the images of the placed elements above it, so every partial map is
+    monotone.  The back condition at x is checked as soon as the last
+    element of x's up-cone is placed: the cone's image must be the whole
+    up-cone of x's image.  A branch is cut when more targets are still
+    unhit than source elements are still unplaced.  Every cut drops only
+    maps that fail, so the first complete map is the first p-morphism;
+    it is verified once before it is returned.
     """
     if source.n > MAX_SEARCH_SOURCE:
         raise CapacityError(
             f"search guard: {source.n} source elements > {MAX_SEARCH_SOURCE}"
         )
-    n, tn = source.n, target.n
-    assignment: list[int] = []
+    n, full = source.n, target.full_mask
+    t_up, t_down = target.up, target.down
+    # the placed elements below and above i, and the x whose up-cone ends at i
+    below = [list(bits(source.down[i] & ((1 << i) - 1))) for i in range(n)]
+    above = [list(bits(source.up[i] & ((1 << i) - 1))) for i in range(n)]
+    closes: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    for x, cone in enumerate(source.up):
+        closes[cone.bit_length() - 1].append((x, list(bits(cone))))
+    f = [0] * n
 
-    def consistent(i: int, v: int) -> bool:
-        for j, w in enumerate(assignment):
-            if (source.up[j] >> i) & 1 and not (target.up[w] >> v) & 1:
-                return False
-            if (source.up[i] >> j) & 1 and not (target.up[v] >> w) & 1:
-                return False
-        return True
+    def image(cone: list[int]) -> int:
+        out = 0
+        for w in cone:
+            out |= 1 << f[w]
+        return out
 
-    def extend(i: int) -> PMorphism | None:
+    def extend(i: int, hit: int) -> bool:
+        if (full & ~hit).bit_count() > n - i:
+            return False
         if i == n:
-            candidate = PMorphism(source, target, tuple(assignment))
-            return candidate if verify_pmorphism(candidate).ok else None
-        remaining = n - i
-        missing = tn - len(set(assignment))
-        if missing > remaining:
-            return None
-        for v in range(tn):
-            if consistent(i, v):
-                assignment.append(v)
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-                assignment.pop()
-        return None
+            return True
+        candidates = full
+        for j in below[i]:
+            candidates &= t_up[f[j]]
+        for j in above[i]:
+            candidates &= t_down[f[j]]
+        for v in bits(candidates):
+            f[i] = v
+            if all(image(cone) == t_up[f[x]] for x, cone in closes[i]) and extend(
+                i + 1, hit | 1 << v
+            ):
+                return True
+        return False
 
-    return extend(0)
+    if not extend(0, 0):
+        return None
+    found = PMorphism(source, target, tuple(f))
+    report = verify_pmorphism(found)
+    if not report.ok:
+        raise InvariantViolation(f"search returned a map that fails: {report.violations[0]}")
+    return found
 
 
 def transfer_check(source: Poset, target: Poset, corpus: Iterable[Formula]) -> Report:

@@ -2,9 +2,10 @@
 
 A formula holds in a Brouwer algebra when it evaluates to 0: conjunction
 lands on the lattice join, disjunction on the meet and falsum on 1.  On a
-frame, forcing is evaluation in the upset algebra, run on upset masks by
-the same compiled program; the two routes define the same theory.  Each
-formula is compiled once, and its program is the only form evaluated.
+frame, forcing is evaluation in the upset algebra, run point by point by
+the same compiled program with one bit per valuation, so one run covers
+many valuations; the two routes define the same theory.  Each formula is
+compiled once, and its program is the only form evaluated.
 
 Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
@@ -20,10 +21,10 @@ from functools import cache
 from itertools import product
 from typing import Mapping, Union
 
-from .brouwer import BrouwerAlgebra, impl_mask
+from .brouwer import BrouwerAlgebra
 from .errors import CapacityError, InputError, ValuationError
 from .formulas import BOT, And, Formula, Imp, Or, Var, free_vars
-from .order import Poset, Upset, upset_masks
+from .order import Poset, Upset, bits, upset_masks
 
 MAX_VALUATIONS = 2_000_000
 MAX_TREE_HEIGHT = 10  # 2^{<10} has 1023 nodes
@@ -59,38 +60,58 @@ def _compile(f: Formula) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], .
     return names, tuple(steps), root
 
 
-def _backend(structure: Structure) -> tuple[tuple | None, int, int]:
-    """(tables, falsum, designated value); frames compute on upset masks."""
-    if isinstance(structure, BrouwerAlgebra):
-        return (structure.join, structure.meet, structure.impl), structure.top, structure.bottom
-    if isinstance(structure, Poset):
-        return None, 0, structure.full_mask
-    raise InputError(f"cannot compute a theory over {type(structure).__name__}")
+def _values(names: tuple[str, ...], env: Mapping[str, int]) -> list[int]:
+    """The values of a program's variables, in slot order."""
+    try:
+        return [env[name] for name in names]
+    except KeyError as exc:
+        raise ValuationError(f"no value for variable {exc.args[0]!r}") from None
 
 
-def _run(steps: tuple, root: int, slots: list, tables: tuple | None, structure: Structure) -> int:
-    """Run a program from its filled variable and falsum slots."""
+def _run(steps: tuple, root: int, slots: list[int], tables: tuple) -> int:
+    """Run a program through an algebra's tables from its filled variable
+    and falsum slots."""
     for op, a, b in steps:
-        x, y = slots[a], slots[b]
-        if tables is not None:
-            slots.append(tables[op][x][y])
-        elif op == _AND:
-            slots.append(x & y)
-        elif op == _OR:
-            slots.append(x | y)
-        else:
-            slots.append(impl_mask(structure, x, y))
+        slots.append(tables[op][slots[a]][slots[b]])
     return slots[root]
 
 
-def _evaluate(structure: Structure, f: Formula, env: Mapping[str, int]) -> int:
+def _sweep(
+    cones: list[list[int]], steps: tuple, root: int, slots: list[list[int]], ones: int
+) -> list[int]:
+    """Run a program on a frame over many valuations at once.
+
+    ``cones`` lists each point's up-cone.  A slot holds one int per point,
+    whose bit c says whether the point forces the slot under the c-th
+    valuation, of the ``ones`` lanes.  The variable and falsum slots are
+    given; the root slot is returned.
+    """
+    for op, a, b in steps:
+        left, right = slots[a], slots[b]
+        if op == _AND:
+            slots.append([x & y for x, y in zip(left, right)])
+        elif op == _OR:
+            slots.append([x | y for x, y in zip(left, right)])
+        else:  # forced where every point above that forces the left forces the right
+            holds = [~x | y for x, y in zip(left, right)]
+            out = []
+            for cone in cones:
+                lanes = ones
+                for y in cone:
+                    lanes &= holds[y]
+                out.append(lanes)
+            slots.append(out)
+    return slots[root]
+
+
+def _cones(frame: Poset) -> list[list[int]]:
+    return [list(bits(cone)) for cone in frame.up]
+
+
+def _evaluate(algebra: BrouwerAlgebra, f: Formula, env: Mapping[str, int]) -> int:
     names, steps, root = _compile(f)
-    tables, bot, _ = _backend(structure)
-    try:
-        slots = [env[name] for name in names]
-    except KeyError as exc:
-        raise ValuationError(f"no value for variable {exc.args[0]!r}") from None
-    return _run(steps, root, slots + [bot], tables, structure)
+    tables = (algebra.join, algebra.meet, algebra.impl)
+    return _run(steps, root, [*_values(names, env), algebra.top], tables)
 
 
 def eval_algebra(f: Formula, algebra: BrouwerAlgebra, valuation: Mapping[str, str]) -> str:
@@ -111,7 +132,11 @@ def forced_upset(frame: Poset, valuation: Mapping[str, Upset], f: Formula) -> Up
         if upset.poset != frame:
             raise InputError(f"valuation of {name!r} lives on a different frame")
         env[name] = upset.mask
-    return Upset(frame, _evaluate(frame, f, env))
+    names, steps, root = _compile(f)
+    points = range(frame.n)
+    slots = [[mask >> x & 1 for x in points] for mask in _values(names, env)]
+    forced = _sweep(_cones(frame), steps, root, [*slots, [0] * frame.n], 1)
+    return Upset(frame, sum(bit << x for x, bit in zip(points, forced)))
 
 
 def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula) -> bool:
@@ -120,8 +145,44 @@ def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula)
     return (forced_upset(frame, valuation, f).mask >> i) & 1 == 1
 
 
-_MISSING = object()
-# (structure, formula) -> first refuting choice of values, or None.
+def _algebra_refutation(
+    algebra: BrouwerAlgebra, f: Formula, values: range
+) -> tuple[int, ...] | None:
+    names, steps, root = _compile(f)
+    tables = (algebra.join, algebra.meet, algebra.impl)
+    for choice in product(values, repeat=len(names)):
+        if _run(steps, root, [*choice, algebra.top], tables) != algebra.bottom:
+            return choice
+    return None
+
+
+def _frame_refutation(frame: Poset, f: Formula, masks: tuple[int, ...]) -> tuple[int, ...] | None:
+    """One sweep per choice of the leading variables, the last one's
+    upsets side by side in the lanes."""
+    names, steps, root = _compile(f)
+    cones, points, falsum = _cones(frame), range(frame.n), [0] * frame.n
+    if not names:
+        forced = _sweep(cones, steps, root, [falsum], 1)
+        return None if all(forced) else ()
+    ones = (1 << len(masks)) - 1
+    last = [sum(1 << c for c, mask in enumerate(masks) if mask >> x & 1) for x in points]
+    # a leading variable's slot is the same in every lane
+    fixed = {}
+    if len(names) > 1:
+        fixed = {mask: [ones if mask >> x & 1 else 0 for x in points] for mask in masks}
+    for lead in product(masks, repeat=len(names) - 1):
+        refuted = 0
+        slots = [*map(fixed.__getitem__, lead), last, falsum]
+        for lanes in _sweep(cones, steps, root, slots, ones):
+            refuted |= ~lanes
+        refuted &= ones
+        if refuted:
+            return (*lead, masks[(refuted & -refuted).bit_length() - 1])
+    return None
+
+
+# structure -> (its values in canonical order, formula -> first refuting
+# choice of values or None).
 _refutations: dict = {}
 
 
@@ -131,23 +192,27 @@ def _first_refutation(
     """First valuation in canonical order under which f is not designated.
 
     Canonical order is the product, over the sorted variable names, of the
-    carrier indices (algebra) or the ascending upset masks (frame).  The
-    guard is checked before the cache, so it holds for cached answers too.
+    carrier indices (algebra) or the ascending upset masks (frame).  An
+    algebra folds one valuation at a time through its tables.  A frame
+    sweeps the last variable's upsets together, one bit per upset: the
+    first refutation is the lowest refuted bit of the first choice of the
+    leading variables that has one.  A structure's values are cached with
+    its answers, so the guard holds for cached answers too.
     """
-    names, steps, root = _compile(f)
-    tables, bot, designated = _backend(structure)
-    values = upset_masks(structure) if tables is None else range(structure.n)
+    if not isinstance(structure, (BrouwerAlgebra, Poset)):
+        raise InputError(f"cannot compute a theory over {type(structure).__name__}")
+    names = _compile(f)[0]
+    entry = _refutations.get(structure)
+    if entry is None:
+        values = upset_masks(structure) if isinstance(structure, Poset) else range(structure.n)
+        entry = _refutations[structure] = (values, {})
+    values, answers = entry
     if len(values) ** len(names) > max_valuations:
         raise CapacityError(f"valuation guard: {len(values)}^{len(names)} exceeds {max_valuations}")
-    key = (structure, f)
-    found = _refutations.get(key, _MISSING)
-    if found is _MISSING:
-        found = None
-        for choice in product(values, repeat=len(names)):
-            if _run(steps, root, [*choice, bot], tables, structure) != designated:
-                found = choice
-                break
-        _refutations[key] = found
+    if f not in answers:
+        search = _frame_refutation if isinstance(structure, Poset) else _algebra_refutation
+        answers[f] = search(structure, f, values)
+    found = answers[f]
     return None if found is None else dict(zip(names, found))
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ordsem import cli
 from ordsem.brouwer import algebra_to_json, upset_algebra
 from ordsem.cli import main
 from ordsem.order import poset_from_json, poset_to_json
@@ -357,9 +358,14 @@ DIAMOND = {
     "elements": ["bot", "m1", "m2", "top"],
     "leq": [["bot", "m1"], ["bot", "m2"], ["m1", "top"], ["m2", "top"]],
 }
+TREE3 = {
+    "elements": ["", "0", "1", "00", "01", "10", "11"],
+    "leq": [["", "0"], ["", "1"], ["0", "00"], ["0", "01"], ["1", "10"], ["1", "11"]],
+}
 
 # Byte-exact --json stdout, each frozen before the rewrite it guards (the
-# one evaluator for both semantics; the Muchnik mask kernel).
+# one evaluator for both semantics; the Muchnik mask kernel; the pruned
+# p-morphism search and the bit-sliced frame sweep).
 GOLDEN = [
     pytest.param(
         ["muchnik", "iso-check", "diamond"],
@@ -408,6 +414,30 @@ GOLDEN = [
         '"result": "countermodel", "valuation": {"p": ["0"], "q": ["1"]}}\n',
         id="ipc-linearity",
     ),
+    pytest.param(
+        ["theory", "(~p -> q | r) -> (~p -> q) | (~p -> r)", "--frame", "tree3"],
+        1,
+        '{"formula": "(~p -> q | r) -> (~p -> q) | (~p -> r)", "holds": false, '
+        '"mode": "frame", "witness": {"point": "", '
+        '"valuation": {"p": ["00"], "q": ["01"], "r": ["1", "10", "11"]}}}\n',
+        id="theory-three-variable-witness",
+    ),
+    pytest.param(
+        ["pmorphism", "search", "tree3", "fork"],
+        0,
+        '{"map": [["", "r"], ["0", "r"], ["1", "r"], ["00", "l"], ["01", "k"], '
+        '["10", "l"], ["11", "k"]], "source": {"elements": ["", "0", "1", "00", "01", '
+        '"10", "11"], "leq": [["", "0"], ["", "1"], ["0", "00"], ["0", "01"], '
+        '["1", "10"], ["1", "11"]]}, "target": {"elements": ["r", "l", "k"], '
+        '"leq": [["r", "l"], ["r", "k"]]}}\n',
+        id="pmorphism-search-found",
+    ),
+    pytest.param(
+        ["pmorphism", "search", "diamond", "fork"],
+        1,
+        '{"found": false}\n',
+        id="pmorphism-search-none",
+    ),
 ]
 
 
@@ -415,7 +445,7 @@ class TestGolden:
     @pytest.mark.parametrize("argv, code, stdout", GOLDEN)
     def test_json_stdout_is_byte_identical(self, argv, code, stdout, tmp_path, capsys):
         paths = {}
-        for name, poset in (("fork", FORK), ("diamond", DIAMOND)):
+        for name, poset in (("fork", FORK), ("diamond", DIAMOND), ("tree3", TREE3)):
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(poset))
         argv = [str(paths[a]) if a in paths else a for a in argv]
@@ -447,3 +477,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_internal_error_exits_three(self, fork_path, monkeypatch, capsys):
+        def broken(args):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "cmd_upsets", broken)
+        assert main(["upsets", fork_path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: KeyError: 'lost'\n")

@@ -1,9 +1,12 @@
 """p-morphism verification, exhaustive search and theory transfer."""
 
 import json
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordsem.corpus import MIXED_CORPUS, parsed
 from ordsem.errors import CapacityError, InputError, PreconditionError
@@ -17,7 +20,7 @@ from ordsem.morphism import (
     verify_pmorphism,
 )
 from ordsem.order import from_relation, generate_posets, random_posets
-from ordsem.semantics import theory_contains
+from ordsem.semantics import binary_tree_frame, theory_contains
 
 
 def brute_force_exists(source, target):
@@ -26,6 +29,63 @@ def brute_force_exists(source, target):
         if verify_pmorphism(PMorphism(source, target, mapping)).ok:
             return True
     return False
+
+
+def reference_search(source, target):
+    """The search before candidate masks and early back-condition checks:
+    monotonicity against the placed prefix, the surjectivity count, and
+    full verification at every complete assignment."""
+    n, tn = source.n, target.n
+    assignment = []
+
+    def consistent(i, v):
+        for j, w in enumerate(assignment):
+            if (source.up[j] >> i) & 1 and not (target.up[w] >> v) & 1:
+                return False
+            if (source.up[i] >> j) & 1 and not (target.up[v] >> w) & 1:
+                return False
+        return True
+
+    def extend(i):
+        if i == n:
+            candidate = PMorphism(source, target, tuple(assignment))
+            return candidate if verify_pmorphism(candidate).ok else None
+        if tn - len(set(assignment)) > n - i:
+            return None
+        for v in range(tn):
+            if consistent(i, v):
+                assignment.append(v)
+                found = extend(i + 1)
+                if found is not None:
+                    return found
+                assignment.pop()
+        return None
+
+    return extend(0)
+
+
+def random_frame(rng, n):
+    """A seeded poset on n elements: random edges, closed, labels shuffled."""
+    labels = [f"x{i}" for i in range(n)]
+    rng.shuffle(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [(labels[i], labels[j]) for i, j in pairs if rng.random() < 0.3]
+    return from_relation([f"x{i}" for i in range(n)], edges)
+
+
+@st.composite
+def posets(draw, max_size):
+    """Hypothesis strategy: a poset on up to max_size elements, in any index order."""
+    n = draw(st.integers(1, max_size))
+    order = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    labels = [chr(ord("a") + k) for k in range(n)]
+    return from_relation(labels, [(labels[order[i]], labels[order[j]]) for i, j in edges])
+
+
+def mapping_of(found):
+    return None if found is None else found.mapping
 
 
 class TestVerify:
@@ -104,6 +164,44 @@ class TestSearch:
         big = from_relation([f"x{i}" for i in range(13)], [])
         with pytest.raises(CapacityError):
             search_pmorphism(big, big)
+
+
+class TestSearchDifferential:
+    """The pruned search returns exactly the map the leaf-checking one did."""
+
+    def test_every_small_pair(self):
+        # every poset on <= 4 elements onto every poset on <= 3: 5,566 pairs
+        sources = [p for n in (1, 2, 3, 4) for p in generate_posets(n)]
+        targets = [p for n in (1, 2, 3) for p in generate_posets(n)]
+        found = 0
+        for source in sources:
+            for target in targets:
+                expected = mapping_of(reference_search(source, target))
+                assert mapping_of(search_pmorphism(source, target)) == expected
+                found += expected is not None
+        assert found > 500
+
+    def test_seeded_larger_frames(self, fork, diamond):
+        rng = random.Random(7)
+        tree = binary_tree_frame(3)
+        # the tree itself, its elements in shuffled index order, maps onto all three
+        shuffled = from_relation(rng.sample(tree.elements, tree.n), tree.cover_pairs())
+        sources = [random_frame(rng, n) for n in (6, 6, 6, 6, 7, 7, 7, 7)] + [shuffled]
+        found = 0
+        for source in sources:
+            for target in (fork, tree, diamond):
+                expected = mapping_of(reference_search(source, target))
+                assert mapping_of(search_pmorphism(source, target)) == expected
+                found += expected is not None
+        assert found >= 10
+
+    @settings(deadline=None, max_examples=150)
+    @given(posets(5), posets(3))
+    def test_against_brute_force(self, source, target):
+        found = search_pmorphism(source, target)
+        assert (found is not None) == brute_force_exists(source, target)
+        if found is not None:
+            assert verify_pmorphism(found).ok
 
 
 class TestComposition:

@@ -10,9 +10,10 @@ from itertools import product
 import pytest
 from conftest import formulas
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordsem import semantics
-from ordsem.brouwer import upset_algebra
+from ordsem.brouwer import impl_mask, upset_algebra
 from ordsem.corpus import (
     BOUNDED_REFUTED,
     BOUNDED_VALID,
@@ -23,7 +24,15 @@ from ordsem.corpus import (
 )
 from ordsem.errors import CapacityError, InputError, ValuationError
 from ordsem.formulas import And, Bot, Or, Var, free_vars, parse
-from ordsem.order import Upset, enumerate_upsets, generate_posets, upset_masks, upward_closure
+from ordsem.order import (
+    Upset,
+    enumerate_upsets,
+    from_relation,
+    generate_posets,
+    random_posets,
+    upset_masks,
+    upward_closure,
+)
 from ordsem.semantics import (
     Countermodel,
     ValidUpToBound,
@@ -48,6 +57,36 @@ def first_refutation(frame, formula):
             if not forces(frame, point, valuation, formula):
                 return valuation, point
     return None
+
+
+def reference_witness(frame, formula):
+    """The frame sweep before bit-slicing: one valuation at a time in
+    canonical order through the compiled program, implication by
+    `impl_mask`.  The first refuting (name -> mask, point), or None."""
+    names, steps, root = semantics._compile(formula)
+    for choice in product(upset_masks(frame), repeat=len(names)):
+        slots = [*choice, 0]
+        for op, a, b in steps:
+            x, y = slots[a], slots[b]
+            if op == semantics._AND:
+                slots.append(x & y)
+            elif op == semantics._OR:
+                slots.append(x | y)
+            else:
+                slots.append(impl_mask(frame, x, y))
+        forced = slots[root]
+        if forced != frame.full_mask:
+            point = next(i for i in range(frame.n) if not (forced >> i) & 1)
+            return dict(zip(names, choice)), frame.elements[point]
+    return None
+
+
+def assert_sweep_matches_reference(frame, formula):
+    witness = frame_witness(frame, formula)
+    if witness is not None:
+        valuation, point = witness
+        witness = {name: upset.mask for name, upset in valuation.items()}, point
+    assert witness == reference_witness(frame, formula), (frame, formula)
 
 
 def pointwise_forces(frame, x, env, f):
@@ -197,6 +236,16 @@ class TestTheory:
         with pytest.raises(CapacityError):
             theory_contains(fork, parse("p -> q"), max_valuations=24)
 
+    def test_cache_hit_skips_upset_enumeration(self, fork, monkeypatch):
+        formula = parse("(p -> q) | (q -> p) | r")  # 5 upsets, 3 variables: 125 valuations
+        assert theory_contains(fork, formula) is False
+        calls = []
+        monkeypatch.setattr(semantics, "upset_masks", lambda frame: calls.append(frame))
+        assert theory_contains(fork, formula) is False
+        with pytest.raises(CapacityError, match=r"valuation guard: 5\^3 exceeds 124"):
+            theory_contains(fork, formula, max_valuations=124)
+        assert calls == []
+
     def test_pointwise_forcing_oracle(self):
         # every poset on <= 3 elements x MIXED_CORPUS x every valuation
         corpus = parsed(MIXED_CORPUS)
@@ -215,6 +264,28 @@ class TestTheory:
                     labels = {n: algebra.carrier[masks.index(m)] for n, m in env.items()}
                     value = eval_algebra(formula, algebra, labels)
                     assert masks[algebra.index_of(value)] == expected
+
+
+class TestFrameSweepDifferential:
+    """The bit-sliced sweep finds the refutation the one-at-a-time loop did."""
+
+    CORPUS = parsed(MIXED_CORPUS + IPC_THEOREMS[25:])  # and the 3-variable theorems
+    FRAMES = random_posets(4, 20, seed=5) + random_posets(5, 20, seed=6)
+
+    def test_every_small_poset(self):
+        for poset in (p for n in (1, 2, 3, 4) for p in generate_posets(n)):
+            for formula in self.CORPUS:
+                assert_sweep_matches_reference(poset, formula)
+
+    def test_antichain_and_tree(self):
+        for frame in (from_relation("abcde", []), binary_tree_frame(3)):
+            for formula in self.CORPUS:
+                assert_sweep_matches_reference(frame, formula)
+
+    @settings(deadline=None, max_examples=150)
+    @given(formulas(3), st.integers(0, 39))
+    def test_random_formulas(self, formula, index):
+        assert_sweep_matches_reference(self.FRAMES[index], formula)
 
 
 class TestBinaryTree:
