@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success / property holds, 1 = checked and fails
 (countermodel found, non-empty report, missing morphism), 2 = usage or
-input error, 3 = internal error (an unexpected exception, a bug).  Output
-is deterministic for fixed inputs and seed.
+input error, 3 = internal error (an unexpected exception or a failed
+internal check, `InvariantViolation`: a bug).  Output is deterministic for
+fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import traceback
 
 from . import brouwer, dot, morphism, muchnik, order, semantics, splitting
-from .errors import InputError, OrdsemError, Report, StagingError
+from .errors import InputError, InvariantViolation, OrdsemError, Report, StagingError
 from .formulas import parse, pretty
 
 
@@ -305,6 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_error(exc: Exception) -> int:
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    traceback.print_exception(exc)
+    return 3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -318,13 +325,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "algebra" and args.action == "quotient" and args.element is None:
             parser.error("algebra quotient needs -x ELEMENT")
         return args.func(args)
+    except InvariantViolation as exc:  # an internal check failed: a bug, not bad input
+        return _internal_error(exc)
     except OrdsemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not a failed check: never exit 1
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc()
-        return 3
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Mapping, Union
 
 from .brouwer import BrouwerAlgebra
-from .errors import CapacityError, InputError, ValuationError
+from .errors import CapacityError, InputError, InvariantViolation, ValuationError
 from .formulas import BOT, And, Formula, Imp, Or, Var, free_vars
 from .order import Poset, Upset, bits, upset_masks
 
@@ -346,7 +346,9 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
             frame = binary_tree_frame(k)
             witness = frame_witness(frame, f, max_valuations=max_valuations)
             if witness is None:  # profile closure said refutable; enumeration must agree
-                raise InputError("internal disagreement between profile search and enumeration")
+                raise InvariantViolation(
+                    "internal disagreement between profile search and enumeration"
+                )
             valuation, point = witness
             return Countermodel(f, frame, valuation, point, k)
         level = frozenset(current)

@@ -24,7 +24,7 @@ import random
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, Report, StagingError
 from .morphism import PMorphism
@@ -303,27 +303,30 @@ def verify_splitting_class(structure: SplittingStructure, depth: int) -> Report:
     window = [structure.enumerate(i) for i in range(depth)]
     violations: list[str] = []
     checked = 0
+
+    def label(f: object, avoid: frozenset) -> str:
+        """The query's name in a violation; built only when one is found."""
+        names = ", ".join(sorted(structure.describe(g) for g in avoid))
+        return f"f={structure.describe(f)}, B={{{names}}}"
+
     for f in window:
         others = [g for g in window if not structure.leq(g, f)]
         for size in range(4):
             for combo in itertools.combinations(others, size):
                 avoid = frozenset(combo)
-                label = (
-                    f"f={structure.describe(f)}, "
-                    f"B={{{', '.join(sorted(structure.describe(g) for g in avoid))}}}"
-                )
                 try:
                     h0, h1 = structure.split(f, avoid)
                 except Exception as exc:  # a failing oracle is a finding, not a crash
                     checked += 1
-                    violations.append(f"split failed on {label}: {exc}")
+                    violations.append(f"split failed on {label(f, avoid)}: {exc}")
                     continue
                 sub = check_split_conditions(structure, f, avoid, h0, h1)
-                checked += sub.checked
-                violations.extend(f"{v} on {label}" for v in sub.violations)
-                checked += 1
+                checked += sub.checked + 1
+                violations.extend(f"{v} on {label(f, avoid)}" for v in sub.violations)
                 if structure.leq(h0, f):
-                    violations.append(f"one-sided form: h0 is not strictly above f on {label}")
+                    violations.append(
+                        f"one-sided form: h0 is not strictly above f on {label(f, avoid)}"
+                    )
     return Report(checked=checked, violations=tuple(violations))
 
 
@@ -375,8 +378,8 @@ class PartialHomomorphism:
         return set(self.pairs.values())
 
     def _pair_violations(self, x: object, ix: str, y: object, iy: str) -> list[str]:
-        """Both invariants on a pair with images ix, iy; the one predicate
-        behind check_new_pair and check_invariants.  Images are tested first."""
+        """Both invariants on a pair with images ix, iy, as messages; run only
+        to list what a failed group check found.  Images are tested first."""
         s = self.structure
         out = []
         for u, iu, v, iv in ((x, ix, y, iy), (y, iy, x, ix)):
@@ -392,23 +395,65 @@ class PartialHomomorphism:
             )
         return out
 
+    def _image_groups(self) -> dict[str, list]:
+        """Placed elements by image, both in insertion order."""
+        groups: dict[str, list] = {}
+        for element, image in self.pairs.items():
+            groups.setdefault(image, []).append(element)
+        return groups
+
+    def _groups_break(self, ix: str, xs: Sequence, iy: str, ys: Sequence) -> bool:
+        """Whether some x in xs (image ix) and y in ys (image iy) break an
+        invariant.  The images' relation is decided once; the oracle is asked
+        only what it leaves open: nothing for equal images, the one `leq`
+        that must fail when one image is a proper prefix of the other, and
+        both `leq`s and `joins_in_class` when they are incomparable."""
+        if ix == iy:
+            return False
+        leq = self.structure.leq
+        joins_in_class = self.structure.joins_in_class
+        below, above = iy.startswith(ix), ix.startswith(iy)
+        for x in xs:
+            for y in ys:
+                if below:
+                    if leq(y, x):
+                        return True
+                elif above:
+                    if leq(x, y):
+                        return True
+                elif leq(x, y) or leq(y, x) or joins_in_class(x, y):
+                    return True
+        return False
+
     def check_new_pair(self, element: object, image: str) -> None:
-        """Both invariants against the existing pairs, before insertion."""
+        """Both invariants against the existing pairs, before insertion, image
+        group by image group; a failure raises the first pairwise violation."""
+        if not any(
+            self._groups_break(other_image, others, image, (element,))
+            for other_image, others in self._image_groups().items()
+        ):
+            return
         for other, other_image in self.pairs.items():
             violations = self._pair_violations(other, other_image, element, image)
             if violations:
                 raise InvariantViolation(violations[0])
 
     def check_invariants(self) -> Report:
-        """Full pairwise re-check of both invariants (non-incremental)."""
-        items = list(self.pairs.items())
+        """Full re-check of both invariants (non-incremental), group pair by
+        group pair; only on a failure are the pairs listed one by one."""
+        groups = list(self._image_groups().items())
         violations: list[str] = []
-        checked = 0
-        for i, (a, ia) in enumerate(items):
-            for b, ib in items[i + 1 :]:
-                checked += 2
-                violations.extend(self._pair_violations(a, ia, b, ib))
-        return Report(checked=checked, violations=tuple(violations))
+        if any(
+            self._groups_break(ix, xs, iy, ys)
+            for i, (ix, xs) in enumerate(groups)
+            for iy, ys in groups[i + 1 :]
+        ):
+            items = list(self.pairs.items())
+            for i, (a, ia) in enumerate(items):
+                for b, ib in items[i + 1 :]:
+                    violations.extend(self._pair_violations(a, ia, b, ib))
+        n = len(self.pairs)
+        return Report(checked=n * (n - 1), violations=tuple(violations))
 
     def to_json(self) -> dict:
         return {
@@ -453,9 +498,11 @@ def build_pmorphism(
     for k in range(steps):
         a = structure.enumerate(k)
         if a not in alpha.pairs:
-            below = {
-                image for element, image in alpha.pairs.items() if structure.leq(element, a)
-            }
+            below = [
+                image
+                for image, group in preimages.items()
+                if any(structure.leq(element, a) for element in group)
+            ]
             if not below:
                 raise InvariantViolation(
                     f"R{2 * k + 1}: least element is not below {structure.describe(a)}"
@@ -516,9 +563,7 @@ def _closed_domain(alpha: PartialHomomorphism) -> list:
     descends through finished children exactly as in the limit argument.
     """
     s = alpha.structure
-    preimages: dict[str, list] = {}
-    for element, image in alpha.pairs.items():
-        preimages.setdefault(image, []).append(element)
+    preimages = alpha._image_groups()
     # A child's image is one letter longer, so visiting images longest first
     # settles every child before its parent: one pass reaches the fixpoint.
     closed: set = set()

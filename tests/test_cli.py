@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from ordsem import cli
+from ordsem import cli, morphism, semantics, splitting
 from ordsem.brouwer import algebra_to_json, upset_algebra
+from ordsem.errors import InvariantViolation, Report
 from ordsem.cli import main
 from ordsem.order import poset_from_json, poset_to_json
 from ordsem.semantics import binary_tree_frame
@@ -466,6 +467,27 @@ class TestGolden:
             "ab98848bd7f35cc139198625bcd775f612a51f7950310535b5c92bba19981ccc"
         )
 
+    def test_larger_split_build_stdout_and_trace(self, tmp_path, capsys):
+        # sha256 of the bytes written before the invariants were checked by
+        # image group
+        trace = tmp_path / "trace.ndjson"
+        argv = ["split", "build", "--height", "5", "--steps", "100", "--seed", "7"]
+        assert main(argv + ["--trace", str(trace)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "2fe4b943ec521f46ad5d8d84f58d7dc0bbce1c7084557863dce5d584e3c29a6a"
+        )
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+            "e50fc797d60e0ebd10657b63ec516b2cadfe9910dc5d5fe4ca4d387e85872ddd"
+        )
+
+    def test_split_verify_stdout(self, capsys):
+        assert main(["split", "verify", "--depth", "16", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"checked": 70384, "ok": true, "subject": "splitting-class depth=16", '
+            '"violations": []}\n'
+        )
+
 
 class TestUsage:
     def test_check_needs_structure(self, capsys):
@@ -487,3 +509,41 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error: KeyError: 'lost'\n")
+
+
+    def test_failed_internal_check_exits_three(self, tmp_path, fork_path, monkeypatch, capsys):
+        # InvariantViolation is an OrdsemError, but it reports a bug, not bad input
+        monkeypatch.setattr(
+            morphism, "verify_pmorphism", lambda m: Report(1, ("forced failure",))
+        )
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"elements": ["a", "b"], "leq": [["a", "b"]]}))
+        assert main(["pmorphism", "search", fork_path, str(chain)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: InvariantViolation: "
+            "search returned a map that fails: forced failure\n"
+        )
+        assert "Traceback (most recent call last)" in captured.err
+
+    def test_failed_build_invariant_exits_three(self, monkeypatch, capsys):
+        def refuse(self, element, image):
+            raise InvariantViolation("forced failure")
+
+        monkeypatch.setattr(splitting.PartialHomomorphism, "check_new_pair", refuse)
+        assert main(["split", "build", "--height", "2", "--steps", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: InvariantViolation: forced failure\n")
+        assert "Traceback (most recent call last)" in captured.err
+
+    def test_profile_enumeration_disagreement_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(semantics, "frame_witness", lambda *args, **kwargs: None)
+        assert main(["ipc", "p | ~p", "--max-height", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: InvariantViolation: "
+            "internal disagreement between profile search and enumeration\n"
+        )
