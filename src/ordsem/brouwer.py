@@ -8,7 +8,6 @@ disjunction on the meet (x), with 0 the designated "true" value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -293,41 +292,3 @@ def interval_algebra(algebra: BrouwerAlgebra, x: str) -> tuple[BrouwerAlgebra, A
     quot = quotient(algebra, x)
     mapping = tuple(quot.index_of(f"[{algebra.carrier[r]}]") for r in members)
     return interval, AlgebraHomomorphism(interval, quot, mapping, is_isomorphism=True)
-
-
-def algebra_to_json(algebra: BrouwerAlgebra) -> dict:
-    return {
-        "carrier": list(algebra.carrier),
-        "join": [list(row) for row in algebra.join],
-        "meet": [list(row) for row in algebra.meet],
-        "impl": [list(row) for row in algebra.impl],
-    }
-
-
-def _index_table(data: dict, name: str) -> tuple[tuple[int, ...], ...]:
-    rows = data[name]
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list)
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
-        for row in rows
-    ):
-        raise InputError(f'"{name}" must be a list of rows of integer indices')
-    return tuple(tuple(row) for row in rows)
-
-
-def algebra_from_json(data: object) -> BrouwerAlgebra:
-    """Rebuild from a dump; the constructor reads the order off ``join``."""
-    if not isinstance(data, dict):
-        raise InputError("algebra JSON must be an object")
-    missing = [key for key in ("carrier", "join", "meet", "impl") if key not in data]
-    if missing:
-        raise InputError(f"algebra JSON is missing {', '.join(missing)}")
-    carrier = data["carrier"]
-    if not isinstance(carrier, list) or not all(isinstance(e, str) for e in carrier):
-        raise InputError('"carrier" must be a list of strings')
-    join, meet, impl = (_index_table(data, name) for name in ("join", "meet", "impl"))
-    return BrouwerAlgebra(tuple(carrier), join, meet, impl)
-
-
-def algebra_dumps(algebra: BrouwerAlgebra) -> str:
-    return json.dumps(algebra_to_json(algebra), sort_keys=True)

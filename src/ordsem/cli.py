@@ -14,19 +14,9 @@ import json
 import sys
 import traceback
 
-from . import brouwer, dot, morphism, muchnik, order, semantics, splitting
+from . import brouwer, documents, dot, morphism, muchnik, order, semantics, splitting
 from .errors import InputError, InvariantViolation, OrdsemError, Report, StagingError
 from .formulas import parse, pretty
-
-
-def _load_json(path: str) -> object:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _emit(data: object, as_json: bool, human: str) -> None:
@@ -46,12 +36,8 @@ def _report_exit(report: Report, as_json: bool, subject: str) -> int:
     return 0 if report.ok else 1
 
 
-def _valuation_json(valuation: dict) -> dict:
-    return {name: list(upset.members) for name, upset in valuation.items()}
-
-
 def cmd_upsets(args: argparse.Namespace) -> int:
-    poset = order.poset_from_json(_load_json(args.poset))
+    poset = documents.poset_from_json(documents.load(args.poset))
     upsets = order.enumerate_upsets(poset)
     data = {"count": len(upsets), "upsets": [list(u.members) for u in upsets]}
     human = f"{len(upsets)} upsets:\n" + "\n".join(
@@ -67,10 +53,10 @@ def _load_algebra(path: str, *, verify_dump: bool) -> brouwer.BrouwerAlgebra:
     With ``verify_dump`` a dump is refused unless it verifies as a Brouwer
     algebra; an upset algebra is one by construction.
     """
-    data = _load_json(path)
+    data = documents.load(path)
     if not (isinstance(data, dict) and "carrier" in data):
-        return brouwer.upset_algebra(order.poset_from_json(data))
-    algebra = brouwer.algebra_from_json(data)
+        return brouwer.upset_algebra(documents.poset_from_json(data))
+    algebra = documents.algebra_from_json(data)
     if verify_dump:
         report = brouwer.verify_brouwer(algebra)
         if not report.ok:
@@ -83,12 +69,12 @@ def cmd_algebra(args: argparse.Namespace) -> int:
         report = brouwer.verify_brouwer(_load_algebra(args.input, verify_dump=False))
         return _report_exit(report, args.json, "algebra")
     quotient = brouwer.quotient(_load_algebra(args.input, verify_dump=True), args.element)
-    print(json.dumps(brouwer.algebra_to_json(quotient), sort_keys=True))
+    print(json.dumps(documents.algebra_to_json(quotient), sort_keys=True))
     return 0
 
 
 def cmd_muchnik(args: argparse.Namespace) -> int:
-    poset = order.poset_from_json(_load_json(args.poset))
+    poset = documents.poset_from_json(documents.load(args.poset))
     return _report_exit(muchnik.iso_check(poset), args.json, "muchnik-iso")
 
 
@@ -99,7 +85,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise InputError("--mode frame needs a poset input (--frame)")
         structure: semantics.Structure = _load_algebra(args.algebra, verify_dump=True)
     else:
-        poset = order.poset_from_json(_load_json(args.frame))
+        poset = documents.poset_from_json(documents.load(args.frame))
         structure = brouwer.upset_algebra(poset) if args.mode == "algebra" else poset
     holds = semantics.theory_contains(structure, formula)
     _emit(
@@ -117,7 +103,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         data = {"formula": pretty(formula), "mode": "algebra", "holds": holds}
         human = f"{pretty(formula)}: {'in' if holds else 'not in'} the algebra theory"
     else:
-        poset = order.poset_from_json(_load_json(args.frame))
+        poset = documents.poset_from_json(documents.load(args.frame))
         witness = semantics.frame_witness(poset, formula)
         holds = witness is None
         data = {"formula": pretty(formula), "mode": "frame", "holds": holds}
@@ -125,23 +111,12 @@ def cmd_theory(args: argparse.Namespace) -> int:
         if witness is not None:
             valuation, point = witness
             data["witness"] = {
-                "valuation": _valuation_json(valuation),
+                "valuation": documents.valuation_to_json(valuation),
                 "point": point,
             }
-            human += f" (refuted at {point!r} under {_valuation_json(valuation)})"
+            human += f" (refuted at {point!r} under {documents.valuation_to_json(valuation)})"
     _emit(data, args.json, human)
     return 0 if holds else 1
-
-
-def _countermodel_json(result: semantics.Countermodel) -> dict:
-    return {
-        "result": "countermodel",
-        "formula": pretty(result.formula),
-        "height": result.height,
-        "frame": order.poset_to_json(result.frame),
-        "valuation": _valuation_json(result.valuation),
-        "point": result.point,
-    }
 
 
 def cmd_ipc(args: argparse.Namespace) -> int:
@@ -155,21 +130,21 @@ def cmd_ipc(args: argparse.Namespace) -> int:
             f"{pretty(formula)}: valid up to height {result.bound} (bounded check only)",
         )
         return 0
-    print(json.dumps(_countermodel_json(result), sort_keys=True))
+    print(json.dumps(documents.countermodel_to_json(result), sort_keys=True))
     return 1
 
 
 def cmd_pmorphism(args: argparse.Namespace) -> int:
     if args.action == "verify":
-        m = morphism.pmorphism_from_json(_load_json(args.input))
+        m = documents.pmorphism_from_json(documents.load(args.input))
         return _report_exit(morphism.verify_pmorphism(m), args.json, "p-morphism")
-    source = order.poset_from_json(_load_json(args.input))
-    target = order.poset_from_json(_load_json(args.target))
+    source = documents.poset_from_json(documents.load(args.input))
+    target = documents.poset_from_json(documents.load(args.target))
     found = morphism.search_pmorphism(source, target)
     if found is None:
         _emit({"found": False}, args.json, "no p-morphism exists")
         return 1
-    print(json.dumps(morphism.pmorphism_to_json(found), sort_keys=True))
+    print(json.dumps(documents.pmorphism_to_json(found), sort_keys=True))
     return 0
 
 
@@ -181,8 +156,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     model = splitting.SyntheticAntichainModel(seed=args.seed)
     alpha = splitting.build_pmorphism(model, args.height, args.steps)
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(splitting.trace_lines(alpha) + "\n")
+        documents.write(args.trace, documents.trace_lines(alpha) + "\n")
     try:
         packaged = splitting.pmorphism_of(alpha)
     except StagingError as exc:
@@ -195,7 +169,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     print(
         json.dumps(
             {
-                "pmorphism": morphism.pmorphism_to_json(packaged),
+                "pmorphism": documents.pmorphism_to_json(packaged),
                 "partial": alpha.to_json(),
             },
             sort_keys=True,
@@ -205,32 +179,14 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
+    data = documents.load(args.input)
     if args.kind == "frame":
-        text = dot.frame_dot(order.poset_from_json(data))
+        text = dot.frame_dot(documents.poset_from_json(data))
     elif args.kind == "pmorphism":
-        text = dot.pmorphism_dot(morphism.pmorphism_from_json(data))
+        text = dot.pmorphism_dot(documents.pmorphism_from_json(data))
     else:
-        if not isinstance(data, dict) or "frame" not in data:
-            raise InputError("countermodel JSON needs a 'frame' key")
-        frame = order.poset_from_json(data["frame"])
-        valuation = data.get("valuation", {})
-        if not isinstance(valuation, dict) or not all(
-            isinstance(members, list) and all(isinstance(m, str) for m in members)
-            for members in valuation.values()
-        ):
-            raise InputError("countermodel 'valuation' must map atoms to lists of labels")
-        if not isinstance(data.get("point"), str):
-            raise InputError("countermodel JSON needs a string 'point'")
-        upsets = {
-            name: order.upward_closure(frame, members) for name, members in valuation.items()
-        }
-        text = dot.countermodel_dot(frame, upsets, data["point"])
-    try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {args.output}: {exc}") from None
+        text = dot.countermodel_dot(*documents.countermodel_from_json(data))
+    documents.write(args.output, text)
     return 0
 
 

@@ -7,13 +7,12 @@ frame's theory into an upper bound for the other's.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import CapacityError, InputError, InvariantViolation, PreconditionError, Report
 from .formulas import Formula, pretty
-from .order import Poset, bits, poset_from_json, poset_to_json
+from .order import Poset, bits
 from .semantics import theory_contains
 
 MAX_SEARCH_SOURCE = 12
@@ -32,9 +31,6 @@ class PMorphism:
             raise InputError("map is not total on the source frame")
         if any(not 0 <= v < self.target.n for v in self.mapping):
             raise InputError("map hits unknown target elements")
-
-    def apply(self, label: str) -> str:
-        return self.target.elements[self.mapping[self.source.index_of(label)]]
 
 
 def pmorphism_from_labels(
@@ -158,39 +154,3 @@ def transfer_check(source: Poset, target: Poset, corpus: Iterable[Formula]) -> R
             if not theory_contains(target, f):
                 violations.append(f"{pretty(f)!r} is valid on the source only")
     return Report(checked=checked, violations=tuple(violations))
-
-
-def pmorphism_to_json(m: PMorphism) -> dict:
-    return {
-        "source": poset_to_json(m.source),
-        "target": poset_to_json(m.target),
-        "map": [
-            [m.source.elements[i], m.target.elements[v]]
-            for i, v in enumerate(m.mapping)
-        ],
-    }
-
-
-def pmorphism_from_json(data: object) -> PMorphism:
-    if isinstance(data, dict) and "pmorphism" in data:
-        data = data["pmorphism"]
-    if not isinstance(data, dict) or not {"source", "target", "map"} <= set(data):
-        raise InputError('p-morphism JSON needs "source", "target" and "map" keys')
-    source = poset_from_json(data["source"])
-    target = poset_from_json(data["target"])
-    pairs = data["map"]
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
-        for p in pairs
-    ):
-        raise InputError('"map" must be a list of [source, target] pairs of element labels')
-    mapping: dict[str, str] = {}
-    for a, b in pairs:
-        if a in mapping:
-            raise InputError(f"map lists source element {a!r} twice")
-        mapping[a] = b
-    return pmorphism_from_labels(source, target, mapping)
-
-
-def pmorphism_dumps(m: PMorphism) -> str:
-    return json.dumps(pmorphism_to_json(m), sort_keys=True)

@@ -21,8 +21,6 @@ from .order import (
     closure_mask,
     is_join_semilattice,
     join_index,
-    poset_from_json,
-    poset_to_json,
     upset_masks,
 )
 
@@ -218,17 +216,3 @@ def iso_check(poset: Poset) -> Report:
                 table_violations.append(f"algebra table transfer fails on {on(a, b)}")
 
     return Report(checked=checked, violations=tuple(violations + table_violations))
-
-
-def mass_problem_to_json(a: MassProblem) -> dict:
-    return {"poset": poset_to_json(a.poset), "members": list(a.members)}
-
-
-def mass_problem_from_json(data: object) -> MassProblem:
-    if not isinstance(data, dict) or "poset" not in data or "members" not in data:
-        raise InputError('mass problem JSON needs "poset" and "members" keys')
-    poset = poset_from_json(data["poset"])
-    members = data["members"]
-    if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
-        raise InputError('"members" must be a list of element labels')
-    return mass_problem(poset, members)

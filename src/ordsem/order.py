@@ -7,7 +7,6 @@ bit-sets: bit ``i`` of a mask stands for ``elements[i]``.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -282,30 +281,3 @@ def _poset_of_choice(n: int, pairs: list[tuple[int, int]], choice: Iterable[int]
             if cones[j] & ~cone:
                 return None
     return Poset(tuple(chr(ord("a") + i) for i in range(n)), tuple(cones))
-
-
-def poset_to_json(poset: Poset) -> dict:
-    """Generating-relation form: cover pairs only, loader re-closes."""
-    return {
-        "elements": list(poset.elements),
-        "leq": [[a, b] for a, b in poset.cover_pairs()],
-    }
-
-
-def poset_from_json(data: object) -> Poset:
-    if not isinstance(data, dict) or "elements" not in data or "leq" not in data:
-        raise InputError('poset JSON needs "elements" and "leq" keys')
-    elements = data["elements"]
-    pairs = data["leq"]
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-        raise InputError('"elements" must be a list of strings')
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
-        for p in pairs
-    ):
-        raise InputError('"leq" must be a list of [a, b] pairs of element labels')
-    return from_relation(elements, [(a, b) for a, b in pairs])
-
-
-def poset_dumps(poset: Poset) -> str:
-    return json.dumps(poset_to_json(poset), sort_keys=True)

@@ -19,7 +19,6 @@ extensions of f would be impossible to avoid.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from abc import ABC, abstractmethod
 from collections import deque
@@ -95,26 +94,11 @@ def antichain_label(a: Antichain) -> str:
     return "{" + ",".join(seq_label(s) for s in sorted(a)) + "}"
 
 
-def antichain_to_json(a: Antichain) -> list[list[int]]:
-    return [list(s) for s in sorted(a)]
-
-
 def _element_json(structure: SplittingStructure, element: object) -> object:
     """Antichains as sequence lists; any other element by its description."""
     if isinstance(element, frozenset):
-        return antichain_to_json(element)
+        return [list(s) for s in sorted(element)]
     return structure.describe(element)
-
-
-def antichain_from_json(data: object) -> Antichain:
-    if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
-        raise InputError("antichain literal must be a list of integer sequences")
-    out = frozenset(tuple(int(d) for d in s) for s in data)
-    if out != reduce_antichain(out):
-        raise InputError("literal is not a reduced antichain")
-    if not out:
-        raise InputError("antichains must be non-empty")
-    return out
 
 
 def _spine() -> Iterable[Seq]:
@@ -374,9 +358,6 @@ class PartialHomomorphism:
     pairs: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
-    def covered_nodes(self) -> set[str]:
-        return set(self.pairs.values())
-
     def _pair_violations(self, x: object, ix: str, y: object, iy: str) -> list[str]:
         """Both invariants on a pair with images ix, iy, as messages; run only
         to list what a failed group check found.  Images are tested first."""
@@ -602,7 +583,3 @@ def pmorphism_of(alpha: PartialHomomorphism) -> PMorphism:
     source = Poset(labels, tuple(cones))
     mapping = tuple(target.index_of(alpha.pairs[e]) for e in closed)
     return PMorphism(source, target, mapping)
-
-
-def trace_lines(alpha: PartialHomomorphism) -> str:
-    return "\n".join(json.dumps(entry, sort_keys=True) for entry in alpha.trace)

@@ -1,7 +1,6 @@
 """Upset algebras, verification, quotients and interval isomorphisms."""
 
 import dataclasses
-import json
 import random
 import time
 
@@ -9,13 +8,12 @@ import pytest
 
 from ordsem.brouwer import (
     BrouwerAlgebra,
-    algebra_dumps,
-    algebra_from_json,
     interval_algebra,
     quotient,
     upset_algebra,
     verify_brouwer,
 )
+from ordsem.documents import algebra_from_json, algebra_to_json
 from ordsem.errors import InputError, Report
 from ordsem.order import (
     bits,
@@ -189,7 +187,7 @@ class TestConstructor:
 
     def test_dump_tables_rebuild_the_upset_algebra(self, diamond):
         algebra = upset_algebra(diamond)
-        data = json.loads(algebra_dumps(algebra))
+        data = algebra_to_json(algebra)
         tables = (tuple(map(tuple, data[name])) for name in ("join", "meet", "impl"))
         again = BrouwerAlgebra(tuple(data["carrier"]), *tables)
         assert again == algebra
@@ -479,13 +477,6 @@ class TestInterval:
 
 
 class TestDump:
-    def test_bit_exact_round_trip(self, diamond):
-        algebra = upset_algebra(diamond)
-        text = algebra_dumps(algebra)
-        again = algebra_from_json(json.loads(text))
-        assert algebra_dumps(again) == text
-        assert again == algebra
-
     def test_rejects_malformed(self):
         with pytest.raises(InputError):
             algebra_from_json({"carrier": ["a"]})

@@ -6,10 +6,10 @@ import json
 import pytest
 
 from ordsem import cli, morphism, semantics, splitting
-from ordsem.brouwer import algebra_to_json, upset_algebra
+from ordsem.brouwer import upset_algebra
+from ordsem.documents import algebra_to_json, poset_from_json, poset_to_json
 from ordsem.errors import InvariantViolation, Report
 from ordsem.cli import main
-from ordsem.order import poset_from_json, poset_to_json
 from ordsem.semantics import binary_tree_frame
 
 
@@ -547,3 +547,37 @@ class TestUsage:
             "internal error: InvariantViolation: "
             "internal disagreement between profile search and enumeration\n"
         )
+
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        assert main(["upsets", str(deep)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {deep} is not valid JSON: ")
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes('{"elements": ["é"], "leq": []}'.encode("latin-1"))
+        assert main(["upsets", str(latin)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {latin} is not valid JSON: ")
+
+    def test_overlong_integer_exits_two(self, tmp_path, capsys):
+        # past Python's 4300-digit limit int() raises a plain ValueError
+        big = tmp_path / "big.json"
+        big.write_text('{"elements": [], "leq": [], "n": ' + "9" * 5000 + "}")
+        assert main(["upsets", str(big)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {big} is not valid JSON: ")
+
+    def test_lone_surrogate_label_exits_two(self, tmp_path, capsys):
+        # "\ud800" parses to a string that no UTF-8 output can hold
+        poset = tmp_path / "poset.json"
+        poset.write_text('{"elements": ["\\ud800"], "leq": []}')
+        assert main(["upsets", str(poset)]) == 2
+        assert capsys.readouterr().err == 'error: "elements" must be a list of strings\n'
+
+    def test_unwritable_trace_exits_two(self, capsys):
+        trace = "/nonexistent/dir/t.ndjson"
+        argv = ["split", "build", "--height", "2", "--steps", "4", "--trace", trace]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {trace}: ")

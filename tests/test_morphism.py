@@ -1,6 +1,5 @@
 """p-morphism verification, exhaustive search and theory transfer."""
 
-import json
 import random
 from itertools import product
 
@@ -9,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsem.corpus import MIXED_CORPUS, parsed
+from ordsem.documents import pmorphism_from_json, pmorphism_to_json
 from ordsem.errors import CapacityError, InputError, PreconditionError
 from ordsem.morphism import (
     PMorphism,
-    pmorphism_dumps,
-    pmorphism_from_json,
     pmorphism_from_labels,
     search_pmorphism,
     transfer_check,
@@ -133,7 +131,7 @@ class TestSearch:
     def test_fork_to_chain(self, fork, chain2):
         found = search_pmorphism(fork, chain2)
         assert found is not None
-        assert [found.apply(e) for e in fork.elements] == ["a", "b", "b"]
+        assert [chain2.elements[v] for v in found.mapping] == ["a", "b", "b"]
 
     def test_chain_to_fork_none(self, chain3, fork):
         assert search_pmorphism(chain3, fork) is None
@@ -259,15 +257,9 @@ class TestTransfer:
 
 
 class TestJson:
-    def test_round_trip(self, fork, chain2):
-        m = pmorphism_from_labels(fork, chain2, {"r": "a", "l": "b", "k": "b"})
-        again = pmorphism_from_json(json.loads(pmorphism_dumps(m)))
-        assert again.mapping == m.mapping
-        assert again.source == m.source
-
     def test_envelope_accepted(self, fork, chain2):
         m = pmorphism_from_labels(fork, chain2, {"r": "a", "l": "b", "k": "b"})
-        data = {"pmorphism": json.loads(pmorphism_dumps(m))}
+        data = {"pmorphism": pmorphism_to_json(m)}
         assert pmorphism_from_json(data).mapping == m.mapping
 
     def test_rejects_garbage(self):

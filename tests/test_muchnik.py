@@ -9,8 +9,6 @@ from ordsem.muchnik import (
     canonical_degree,
     iso_check,
     mass_problem,
-    mass_problem_from_json,
-    mass_problem_to_json,
     muchnik_leq,
     muchnik_ops,
 )
@@ -271,20 +269,3 @@ class TestIsoCheckAgainstReference:
         assert not report.ok
         assert any(v.startswith("algebra table") for v in report.violations)
         assert report == ref_iso_check(diamond)
-
-
-class TestJson:
-    def test_round_trip(self, diamond):
-        problem = mass_problem(diamond, ("m1", "top"))
-        again = mass_problem_from_json(mass_problem_to_json(problem))
-        assert again.poset == problem.poset
-        assert again.mask == problem.mask
-
-    @pytest.mark.parametrize(
-        "members", [[["m1"]], "m1", [1], None], ids=["nested-list", "string", "integer", "null"]
-    )
-    def test_members_must_be_a_list_of_labels(self, members, diamond):
-        data = mass_problem_to_json(mass_problem(diamond, ("m1",)))
-        data["members"] = members
-        with pytest.raises(InputError, match="members"):
-            mass_problem_from_json(data)

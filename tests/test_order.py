@@ -4,11 +4,11 @@ Expected values are frozen from independent oracles: subset brute force
 for upsets and closures, a relation-matrix sweep for the poset counts.
 """
 
-import json
 from itertools import combinations, product
 
 import pytest
 
+from ordsem.documents import poset_from_json
 from ordsem.errors import CapacityError, InputError
 from ordsem.order import (
     Poset,
@@ -19,8 +19,6 @@ from ordsem.order import (
     is_join_semilattice,
     is_upset,
     join,
-    poset_dumps,
-    poset_from_json,
     random_posets,
     upset_masks,
     upward_closure,
@@ -216,11 +214,6 @@ class TestRandomPosets:
 
 
 class TestJson:
-    def test_round_trip(self, diamond):
-        text = poset_dumps(diamond)
-        again = poset_from_json(json.loads(text))
-        assert again == diamond
-
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             poset_from_json({"elements": "nope"})

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordsem.documents import trace_lines
 from ordsem.errors import InputError, InvariantViolation, Report, StagingError
 from ordsem.morphism import verify_pmorphism
 from ordsem.splitting import (
@@ -17,16 +18,13 @@ from ordsem.splitting import (
     SplittingStructure,
     SyntheticAntichainModel,
     _closed_domain,
-    antichain_from_json,
     antichain_label,
-    antichain_to_json,
     build_pmorphism,
     check_split_conditions,
     is_prefix,
     pmorphism_of,
     reduce_antichain,
     split_from_cond_ii,
-    trace_lines,
     verify_splitting_class,
 )
 
@@ -335,7 +333,7 @@ class TestBuild:
         model = SyntheticAntichainModel()
         alpha = build_pmorphism(model, 2, 4)
         assert alpha.pairs[model.least()] == ""
-        images = sorted(alpha.covered_nodes())
+        images = sorted(set(alpha.pairs.values()))
         assert images == ["", "0", "1"]
         # two split-produced incomparable extensions carry "0" and "1"
         zero = [e for e, img in alpha.pairs.items() if img == "0"]
@@ -716,16 +714,6 @@ class TestPackaging:
 
 
 class TestSerialization:
-    def test_antichain_json_round_trip(self):
-        a = ac((0, 1), (2,))
-        assert antichain_from_json(antichain_to_json(a)) == a
-
-    def test_rejects_non_reduced(self):
-        with pytest.raises(InputError):
-            antichain_from_json([[0], [0, 1]])
-        with pytest.raises(InputError):
-            antichain_from_json([])
-
     def test_labels(self):
         assert antichain_label(ac(())) == "{}"
         assert antichain_label(ac((0, 1), (2,))) == "{01,2}"
