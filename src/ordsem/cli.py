@@ -153,6 +153,8 @@ def cmd_split(args: argparse.Namespace) -> int:
         model = splitting.SyntheticAntichainModel(seed=args.seed)
         report = splitting.verify_splitting_class(model, args.depth)
         return _report_exit(report, args.json, f"splitting-class depth={args.depth}")
+    if args.trace is not None:  # an unwritable path fails before the build, not after it
+        documents.write(args.trace, "")
     model = splitting.SyntheticAntichainModel(seed=args.seed)
     alpha = splitting.build_pmorphism(model, args.height, args.steps)
     if args.trace is not None:

@@ -18,48 +18,88 @@ token, or a syntax tree taller than that.  The parser and every walk over
 a formula recurse once per level, and the parser spends six interpreter
 frames per parenthesis, so the limit keeps well inside Python's default
 recursion limit of 1000; the corpora nest five levels deep.
+
+Formulas are hash-consed (Filliâtre & Conchon, *Type-safe modular
+hash-consing*, 2006): a constructor returns the live node with the same
+class and fields if there is one, so equal formulas are one object,
+equality is identity and a hash costs O(1).  The intern table holds its
+nodes weakly, so a formula nothing else references leaves it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
+from weakref import WeakValueDictionary
 
 from .errors import InputError
 
 MAX_DEPTH = 100
 
+# (class, *fields) -> the one live node with them
+_interned: WeakValueDictionary = WeakValueDictionary()
+
 
 class Formula:
-    """Base class for AST nodes."""
+    """Base class for AST nodes: immutable, one live instance per formula.
 
-    __slots__ = ()
+    ``program`` starts as None; `semantics` stores the formula's compiled
+    program there on its first evaluation, so the program lives exactly
+    as long as the formula.
+    """
+
+    __slots__ = ("program", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *values: object) -> Formula:
+        key = (cls, *values)
+        node = _interned.get(key)
+        if node is None:
+            if len(values) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes fields {cls._fields}, got {len(values)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "program", None)
+            _interned[key] = node
+        return node
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable formula")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable formula")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Var(Formula):
+    __slots__ = _fields = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class And(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Imp(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 

@@ -48,6 +48,11 @@ class Poset:
                     raise InputError(
                         f"order not transitive at ({self.elements[i]!r}, {self.elements[j]!r})"
                     )
+        object.__setattr__(self, "_hash", hash((self.elements, self.up)))
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, computed once per poset."""
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -3,9 +3,17 @@
 A formula holds in a Brouwer algebra when it evaluates to 0: conjunction
 lands on the lattice join, disjunction on the meet and falsum on 1.  On a
 frame, forcing is evaluation in the upset algebra, run point by point by
-the same compiled program with one bit per valuation, so one run covers
-many valuations; the two routes define the same theory.  Each formula is
-compiled once, and its program is the only form evaluated.
+the same compiled program; the two routes define the same theory.  Each
+formula is compiled once, its program is the only form evaluated, and
+it is stored on the formula's (interned) node, so it lives exactly as
+long as the formula.
+
+A theory query runs the last variable's values side by side in lanes, in
+both modes: a frame sweep holds one bit per upset of it at every point,
+and an algebra fold one carrier index per element, where a step that
+does not read it runs once for all lanes.  One sweep or fold runs per
+choice of the leading variables.  Each structure keeps its sweep tables
+and its answers across queries.
 
 Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
@@ -17,7 +25,6 @@ level up the tree, under the caller's valuation budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from typing import Mapping, Union
 
@@ -36,28 +43,37 @@ _OPCODE = {And: _AND, Or: _OR, Imp: _IMP}
 Structure = Union[BrouwerAlgebra, Poset]
 
 
-@cache
 def _compile(f: Formula) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...], int]:
     """Post-order straight-line program for f: (names, steps, root).
 
     Slots 0..k-1 hold the sorted variables and slot k falsum; step i reads
     two earlier slots and writes slot k+1+i.  Each distinct subformula has
-    one slot, and f's value ends in ``root``.  The program is cached per
-    formula and shared by every caller, hence the tuples.
+    one slot, and f's value ends in ``root``.  The program is stored on
+    the formula's node, so it is built once and lives as long as f.
     """
+    program = f.program
+    if program is not None:
+        return program
     names = tuple(sorted(free_vars(f)))
     slot: dict[Formula, int] = {Var(name): i for i, name in enumerate(names)}
     slot[BOT] = len(names)
     steps: list[tuple[int, int, int]] = []
+    root = _emit(f, slot, steps)
+    program = names, tuple(steps), root
+    object.__setattr__(f, "program", program)  # the one field a formula fills late
+    return program
 
-    def walk(g: Formula) -> int:
-        if g not in slot:
-            steps.append((_OPCODE[type(g)], walk(g.left), walk(g.right)))
-            slot[g] = len(slot)
-        return slot[g]
 
-    root = walk(f)
-    return names, tuple(steps), root
+def _emit(g: Formula, slot: dict[Formula, int], steps: list[tuple[int, int, int]]) -> int:
+    """g's slot, appending the steps of its subformulas that have none yet.
+
+    A module function rather than a closure over ``slot``, which would be
+    a reference cycle keeping every subformula alive until the cyclic
+    collector runs."""
+    if g not in slot:
+        steps.append((_OPCODE[type(g)], _emit(g.left, slot, steps), _emit(g.right, slot, steps)))
+        slot[g] = len(slot)
+    return slot[g]
 
 
 def _values(names: tuple[str, ...], env: Mapping[str, int]) -> list[int]:
@@ -145,45 +161,99 @@ def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula)
     return (forced_upset(frame, valuation, f).mask >> i) & 1 == 1
 
 
+class _Tables:
+    """One structure's valuation values and answers, plus the frame
+    sweep's tables: the points' up-cones, the last variable's lanes and
+    the leading variables' rows.  Each table is built by the first query
+    that needs it, once that query has passed the valuation guard.
+
+    ``answers`` maps each formula asked to its first refuting choice of
+    values, or None.  It keys on the formula's node, so a formula asked
+    of a structure stays interned as long as the structure's tables.
+    """
+
+    __slots__ = ("values", "answers", "cones", "last", "rows")
+
+    def __init__(self, values: tuple[int, ...] | range):
+        self.values = values
+        self.answers: dict[Formula, tuple[int, ...] | None] = {}
+        self.cones: list[list[int]] | None = None
+        self.last: list[int] | None = None
+        self.rows: list[list[int]] | None = None
+
+
 def _algebra_refutation(
-    algebra: BrouwerAlgebra, f: Formula, values: range
+    algebra: BrouwerAlgebra, tables: _Tables, program: tuple
 ) -> tuple[int, ...] | None:
-    names, steps, root = _compile(f)
-    tables = (algebra.join, algebra.meet, algebra.impl)
-    for choice in product(values, repeat=len(names)):
-        if _run(steps, root, [*choice, algebra.top], tables) != algebra.bottom:
-            return choice
+    """One fold per choice of the leading variables, the last one's values
+    side by side: a slot that reads it holds one carrier index per lane,
+    and a step that does not read it runs once for all the lanes."""
+    names, steps, root = program
+    ops = (algebra.join, algebra.meet, algebra.impl)
+    bottom, top = algebra.bottom, algebra.top
+    if not names:
+        return None if _run(steps, root, [top], ops) == bottom else ()
+    lanes = tables.values
+    # which operands of each step vary with the lane: 0 neither, 1 the
+    # right, 2 the left, 3 both
+    varies = [False] * (len(names) - 1) + [True, False]
+    plan = []
+    for op, a, b in steps:
+        kind = varies[a] << 1 | varies[b]
+        varies.append(kind != 0)
+        plan.append((ops[op], a, b, kind))
+    for lead in product(lanes, repeat=len(names) - 1):
+        slots = [*lead, lanes, top]
+        for table, a, b, kind in plan:
+            x, y = slots[a], slots[b]
+            if kind == 0:
+                slots.append(table[x][y])
+            elif kind == 1:
+                row = table[x]
+                slots.append([row[v] for v in y])
+            elif kind == 2:
+                slots.append([table[u][y] for u in x])
+            else:
+                slots.append([table[u][v] for u, v in zip(x, y)])
+        out = slots[root]
+        if out.count(bottom) != len(out):
+            return (*lead, next(c for c, v in enumerate(out) if v != bottom))
     return None
 
 
-def _frame_refutation(frame: Poset, f: Formula, masks: tuple[int, ...]) -> tuple[int, ...] | None:
+def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[int, ...] | None:
     """One sweep per choice of the leading variables, the last one's
     upsets side by side in the lanes."""
-    names, steps, root = _compile(f)
-    cones, points, falsum = _cones(frame), range(frame.n), [0] * frame.n
+    names, steps, root = program
+    if tables.cones is None:
+        tables.cones = _cones(frame)
+    cones, falsum = tables.cones, [0] * frame.n
     if not names:
         forced = _sweep(cones, steps, root, [falsum], 1)
         return None if all(forced) else ()
+    masks, points = tables.values, range(frame.n)
     ones = (1 << len(masks)) - 1
-    last = [sum(1 << c for c, mask in enumerate(masks) if mask >> x & 1) for x in points]
-    # a leading variable's slot is the same in every lane
-    fixed = {}
-    if len(names) > 1:
-        fixed = {mask: [ones if mask >> x & 1 else 0 for x in points] for mask in masks}
-    for lead in product(masks, repeat=len(names) - 1):
+    if tables.last is None:  # lane c of point x: does the c-th upset hold x
+        tables.last = [
+            int("".join(["1" if mask >> x & 1 else "0" for mask in reversed(masks)]), 2)
+            for x in points
+        ]
+    if len(names) > 1 and tables.rows is None:
+        # a leading variable's slot is the same in every lane
+        tables.rows = [[ones if mask >> x & 1 else 0 for x in points] for mask in masks]
+    last, rows = tables.last, tables.rows
+    for lead in product(range(len(masks)), repeat=len(names) - 1):
         refuted = 0
-        slots = [*map(fixed.__getitem__, lead), last, falsum]
+        slots = [*[rows[i] for i in lead], last, falsum]
         for lanes in _sweep(cones, steps, root, slots, ones):
             refuted |= ~lanes
         refuted &= ones
         if refuted:
-            return (*lead, masks[(refuted & -refuted).bit_length() - 1])
+            return (*[masks[i] for i in lead], masks[(refuted & -refuted).bit_length() - 1])
     return None
 
 
-# structure -> (its values in canonical order, formula -> first refuting
-# choice of values or None).
-_refutations: dict = {}
+_refutations: dict[Structure, _Tables] = {}
 
 
 def _first_refutation(
@@ -192,27 +262,28 @@ def _first_refutation(
     """First valuation in canonical order under which f is not designated.
 
     Canonical order is the product, over the sorted variable names, of the
-    carrier indices (algebra) or the ascending upset masks (frame).  An
-    algebra folds one valuation at a time through its tables.  A frame
-    sweeps the last variable's upsets together, one bit per upset: the
-    first refutation is the lowest refuted bit of the first choice of the
+    carrier indices (algebra) or the ascending upset masks (frame).  Both
+    modes run the last variable's values side by side in lanes: the first
+    refutation is the lowest refuted lane of the first choice of the
     leading variables that has one.  A structure's values are cached with
     its answers, so the guard holds for cached answers too.
     """
     if not isinstance(structure, (BrouwerAlgebra, Poset)):
         raise InputError(f"cannot compute a theory over {type(structure).__name__}")
-    names = _compile(f)[0]
-    entry = _refutations.get(structure)
-    if entry is None:
+    program = _compile(f)
+    names = program[0]
+    tables = _refutations.get(structure)
+    if tables is None:
         values = upset_masks(structure) if isinstance(structure, Poset) else range(structure.n)
-        entry = _refutations[structure] = (values, {})
-    values, answers = entry
-    if len(values) ** len(names) > max_valuations:
-        raise CapacityError(f"valuation guard: {len(values)}^{len(names)} exceeds {max_valuations}")
-    if f not in answers:
+        tables = _refutations[structure] = _Tables(values)
+    if len(tables.values) ** len(names) > max_valuations:
+        raise CapacityError(
+            f"valuation guard: {len(tables.values)}^{len(names)} exceeds {max_valuations}"
+        )
+    if f not in tables.answers:
         search = _frame_refutation if isinstance(structure, Poset) else _algebra_refutation
-        answers[f] = search(structure, f, values)
-    found = answers[f]
+        tables.answers[f] = search(structure, tables, program)
+    found = tables.answers[f]
     return None if found is None else dict(zip(names, found))
 
 

@@ -581,3 +581,15 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {trace}: ")
+
+    def test_unwritable_trace_fails_before_the_build(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_pmorphism ran before the trace path was checked")
+
+        monkeypatch.setattr(splitting, "build_pmorphism", refuse)
+        trace = tmp_path / "missing" / "t.ndjson"
+        argv = ["split", "build", "--height", "6", "--steps", "400", "--trace", str(trace)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {trace}: ")

@@ -189,6 +189,34 @@ class TestExitContract:
         assert code in (0, 1, 2), err
         assert "internal error" not in err
 
+    # Commands whose input is only options.  The ranges reach past every
+    # guard (heights past 2^{<10}, non-positive counts) yet keep each
+    # build to at most 40 steps.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        height=st.integers(-3, 12),
+        formula=st.sampled_from(["p | ~p", "p -> p", "(p -> q) | (q -> p)", "~p | ~~p"]),
+    )
+    def test_ipc_max_height(self, height, formula):
+        code, err = run(["ipc", "--max-height", str(height), "--", formula])
+        assert code in (0, 1, 2), err
+        assert "internal error" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(height=st.integers(-2, 12), steps=st.integers(-5, 40), seed=st.integers(0, 3))
+    def test_split_build(self, height, steps, seed):
+        argv = ["split", "build", "--height", str(height), "--steps", str(steps)]
+        code, err = run([*argv, "--seed", str(seed)])
+        assert code in (0, 1, 2), err
+        assert "internal error" not in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(depth=st.integers(-2, 6), seed=st.integers(0, 3))
+    def test_split_verify(self, depth, seed):
+        code, err = run(["split", "verify", "--depth", str(depth), "--seed", str(seed)])
+        assert code in (0, 1, 2), err
+        assert "internal error" not in err
+
     @settings(max_examples=60, deadline=None)
     @given(formula=FORMULAS, command=st.sampled_from(["check", "theory", "ipc"]))
     def test_formulas(self, formula, command, tmp_path_factory):

@@ -1,13 +1,22 @@
-"""Grammar, desugaring, error reporting and print/parse round-trips."""
+"""Grammar, desugaring, error reporting, print/parse round-trips and
+hash-consing."""
+
+import copy
+import gc
+import pickle
+import weakref
 
 import pytest
 from conftest import formulas
 from hypothesis import given
 
+from ordsem import formulas as formulas_module
+from ordsem.corpus import IPC_THEOREMS, MIXED_CORPUS, NON_THEOREMS
 from ordsem.formulas import (
     BOT,
     MAX_DEPTH,
     And,
+    Bot,
     Imp,
     Or,
     ParseError,
@@ -112,3 +121,64 @@ class TestHelpers:
     def test_free_vars(self):
         assert free_vars(parse("p -> (q & ~p)")) == {"p", "q"}
         assert free_vars(BOT) == frozenset()
+
+
+class TestHashConsing:
+    """One live node per formula: equal formulas are the same object."""
+
+    def test_parse_of_pretty_is_the_same_object(self):
+        for text in MIXED_CORPUS + IPC_THEOREMS + NON_THEOREMS:
+            f = parse(text)
+            assert parse(pretty(f)) is f
+            assert parse(text) is f
+
+    def test_negation_is_the_same_object(self):
+        f = parse("p & q")
+        assert neg(f) is neg(f)
+        assert neg(f) is parse("~(p & q)")
+        assert Bot() is BOT
+
+    @given(formulas(4))
+    def test_built_trees_are_their_parse(self, ast):
+        assert parse(pretty(ast)) is ast
+
+    def test_copies_are_the_same_object(self):
+        f = parse("(p -> q) | ~r")
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_fields_are_immutable(self):
+        f = parse("p -> q")
+        with pytest.raises(AttributeError):
+            f.left = Var("r")
+        with pytest.raises(AttributeError):
+            del f.right
+        with pytest.raises(AttributeError):
+            Var("p").name = "q"
+        with pytest.raises(AttributeError):
+            f.program = None
+        assert f == Imp(Var("p"), Var("q"))
+
+    def test_repr_and_field_names(self):
+        f = parse("~p | q & bot")
+        assert repr(f) == (
+            "Or(left=Imp(left=Var(name='p'), right=Bot()), "
+            "right=And(left=Var(name='q'), right=Bot()))"
+        )
+        assert f.left.left.name == "p"
+        assert f.right.right is BOT
+
+    def test_wrong_field_count(self):
+        with pytest.raises(TypeError):
+            And(Var("p"))
+
+    def test_unreferenced_node_leaves_the_table(self):
+        node = And(Var("x_unshared"), Var("y_unshared"))
+        key = (And, Var("x_unshared"), Var("y_unshared"))
+        assert formulas_module._interned[key] is node
+        gone = weakref.ref(node)
+        del node
+        gc.collect()
+        assert gone() is None
+        assert key not in formulas_module._interned

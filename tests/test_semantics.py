@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsem import semantics
-from ordsem.brouwer import impl_mask, upset_algebra
+from ordsem.brouwer import impl_mask, quotient, upset_algebra
 from ordsem.corpus import (
     BOUNDED_REFUTED,
     BOUNDED_VALID,
@@ -89,6 +89,26 @@ def assert_sweep_matches_reference(frame, formula):
     assert witness == reference_witness(frame, formula), (frame, formula)
 
 
+def reference_algebra_refutation(algebra, formula):
+    """The algebra fold before lanes: one valuation at a time, in product
+    order over the sorted variables.  The first refuting name -> index
+    choice, or None."""
+    names, steps, root = semantics._compile(formula)
+    tables = (algebra.join, algebra.meet, algebra.impl)
+    for choice in product(range(algebra.n), repeat=len(names)):
+        slots = [*choice, algebra.top]
+        for op, a, b in steps:
+            slots.append(tables[op][slots[a]][slots[b]])
+        if slots[root] != algebra.bottom:
+            return dict(zip(names, choice))
+    return None
+
+
+def assert_lanes_match_reference(algebra, formula):
+    found = semantics._first_refutation(algebra, formula, semantics.MAX_VALUATIONS)
+    assert found == reference_algebra_refutation(algebra, formula), (algebra.carrier, formula)
+
+
 def pointwise_forces(frame, x, env, f):
     """Independent oracle: Kripke's clauses read at point x (env: name -> mask)."""
     if isinstance(f, Var):
@@ -122,8 +142,12 @@ def assert_least_refuting_height(formula):
 class TestCompile:
     def test_one_step_per_distinct_subformula(self):
         # slots: p, q, falsum, then p & q, then the implication
-        program = semantics._compile(parse("p -> (p & q)"))
+        formula = parse("p -> (p & q)")
+        program = semantics._compile(formula)
         assert program == (("p", "q"), ((semantics._AND, 0, 1), (semantics._IMP, 0, 3)), 4)
+        # the program lives on the formula's node, and a parse of the same
+        # text is that node while it lives
+        assert formula.program is program
         assert semantics._compile(parse("p -> (p & q)")) is program
         assert len(semantics._compile(parse("(p & q) -> (p & q)"))[1]) == 2
 
@@ -286,6 +310,64 @@ class TestFrameSweepDifferential:
     @given(formulas(3), st.integers(0, 39))
     def test_random_formulas(self, formula, index):
         assert_sweep_matches_reference(self.FRAMES[index], formula)
+
+
+class TestAlgebraLaneDifferential:
+    """The lane fold finds the refutation the one-valuation fold did."""
+
+    CORPUS = parsed(MIXED_CORPUS)
+    ALGEBRAS = [upset_algebra(p) for n in (1, 2, 3, 4) for p in generate_posets(n)]
+    ALGEBRAS.append(upset_algebra(from_relation("abcde", [])))
+
+    def test_every_small_algebra(self):
+        for algebra in self.ALGEBRAS:
+            for formula in self.CORPUS:
+                assert_lanes_match_reference(algebra, formula)
+
+    @settings(deadline=None, max_examples=150)
+    @given(formulas(3), st.integers(0, len(ALGEBRAS) - 1))
+    def test_random_formulas(self, formula, index):
+        assert_lanes_match_reference(self.ALGEBRAS[index], formula)
+
+    def test_quotient_algebras(self):
+        # algebras built by factoring rather than from upsets
+        algebra = upset_algebra(from_relation("abc", [("a", "b")]))
+        for element in algebra.carrier:
+            factor = quotient(algebra, element)
+            for formula in self.CORPUS:
+                assert_lanes_match_reference(factor, formula)
+
+
+class TestLaneTables:
+    """Each structure's sweep tables are built once, and only when a query
+    that passed the valuation guard needs them."""
+
+    def test_tables_are_kept_per_frame(self, fork):
+        assert not theory_contains(fork, parse("(p -> q) | (q -> p)"))
+        tables = semantics._refutations[fork]
+        cones, last, rows = tables.cones, tables.last, tables.rows
+        assert rows is not None and len(rows) == len(tables.values) == 5
+        assert not theory_contains(fork, parse("~p | ~~p | q"))
+        assert tables.cones is cones and tables.last is last and tables.rows is rows
+
+    def test_one_variable_query_builds_no_rows(self):
+        # 16 points, 65,536 upsets: rows would be 65,536 lists of 16 ints
+        wide = from_relation([f"a{i}" for i in range(16)], [])
+        assert theory_contains(wide, parse("p | ~p"))  # an antichain is classical
+        assert frame_witness(wide, parse("p")) is not None
+        tables = semantics._refutations[wide]
+        assert len(tables.values) == 1 << 16
+        assert tables.rows is None
+        with pytest.raises(CapacityError, match=r"valuation guard: 65536\^2"):
+            theory_contains(wide, parse("p -> q"))
+        assert tables.rows is None
+
+    def test_no_variable_query_builds_no_lanes(self):
+        frame = from_relation(["u0", "u1", "u2"], [("u0", "u1")])  # asked nothing else
+        assert not theory_contains(frame, parse("bot"))
+        assert theory_contains(frame, parse("bot -> bot"))
+        tables = semantics._refutations[frame]
+        assert tables.last is None and tables.rows is None
 
 
 class TestBinaryTree:
