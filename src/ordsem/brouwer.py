@@ -55,16 +55,6 @@ class BrouwerAlgebra:
         object.__setattr__(self, "bottom", up.index(full))
         object.__setattr__(self, "top", above_all.bit_length() - 1)
 
-    def __hash__(self) -> int:
-        """The dataclass hash of the four tables, computed once per algebra,
-        on first use: it reads n^2 cells, and most algebras are never
-        hashed."""
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.carrier, self.join, self.meet, self.impl)))
-            return self._hash
-
     @property
     def up(self) -> tuple[int, ...]:
         """``up[i]`` masks the carrier elements >= i."""

@@ -38,21 +38,16 @@ class Poset:
                 raise InputError(f"up-cone of {self.elements[i]!r} mentions unknown elements")
             if not (cone >> i) & 1:
                 raise InputError(f"order not reflexive at {self.elements[i]!r}")
-        for i in range(n):
-            for j in range(n):
-                if i != j and (self.up[i] >> j) & 1 and (self.up[j] >> i) & 1:
+        for i, cone in enumerate(self.up):  # both clauses need i <= j
+            for j in bits(cone):
+                if i != j and (self.up[j] >> i) & 1:
                     raise InputError(
                         f"order not antisymmetric on ({self.elements[i]!r}, {self.elements[j]!r})"
                     )
-                if (self.up[i] >> j) & 1 and self.up[j] & ~self.up[i]:
+                if self.up[j] & ~cone:
                     raise InputError(
                         f"order not transitive at ({self.elements[i]!r}, {self.elements[j]!r})"
                     )
-        object.__setattr__(self, "_hash", hash((self.elements, self.up)))
-
-    def __hash__(self) -> int:
-        """The dataclass hash of the fields, computed once per poset."""
-        return self._hash
 
     @property
     def n(self) -> int:

@@ -13,7 +13,7 @@ both modes: a frame sweep holds one bit per upset of it at every point,
 and an algebra fold one carrier index per element, where a step that
 does not read it runs once for all lanes.  One sweep or fold runs per
 choice of the leading variables.  Each structure keeps its sweep tables
-and its answers across queries.
+and its answers on itself, so they last as long as the structure.
 
 Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
@@ -164,8 +164,9 @@ def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula)
 class _Tables:
     """One structure's valuation values and answers, plus the frame
     sweep's tables: the points' up-cones, the last variable's lanes and
-    the leading variables' rows.  Each table is built by the first query
-    that needs it, once that query has passed the valuation guard.
+    the leading variables' rows.  The structure holds them as ``_tables``,
+    set by its first query.  Each table is built by the first query that
+    needs it, once that query has passed the valuation guard.
 
     ``answers`` maps each formula asked to its first refuting choice of
     values, or None.  It keys on the formula's node, so a formula asked
@@ -253,9 +254,6 @@ def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[in
     return None
 
 
-_refutations: dict[Structure, _Tables] = {}
-
-
 def _first_refutation(
     structure: Structure, f: Formula, max_valuations: int
 ) -> dict[str, int] | None:
@@ -272,10 +270,11 @@ def _first_refutation(
         raise InputError(f"cannot compute a theory over {type(structure).__name__}")
     program = _compile(f)
     names = program[0]
-    tables = _refutations.get(structure)
+    tables = getattr(structure, "_tables", None)
     if tables is None:
         values = upset_masks(structure) if isinstance(structure, Poset) else range(structure.n)
-        tables = _refutations[structure] = _Tables(values)
+        tables = _Tables(values)
+        object.__setattr__(structure, "_tables", tables)  # lives as long as the structure
     if len(tables.values) ** len(names) > max_valuations:
         raise CapacityError(
             f"valuation guard: {len(tables.values)}^{len(names)} exceeds {max_valuations}"

@@ -161,14 +161,13 @@ class SyntheticAntichainModel(SplittingStructure):
             return t[: len(s)] == s or s[: len(t)] == t
         return super().joins_in_class(a, b)
 
-    def _the(self, f: Antichain) -> Seq:
-        (s,) = f
-        return s
-
-    def _check_split_query(self, f: Antichain, avoid: frozenset) -> Seq:
+    def _extensions(self, f: Antichain, avoid: frozenset, count: int) -> list[Antichain]:
+        """The first `count` one-letter extensions of f by a letter that no
+        element of `avoid` continues f with, each queued for delivery."""
         if not self.in_class(f):
             raise InputError(f"split called on non-class element {antichain_label(f)}")
-        s = self._the(f)
+        (s,) = f
+        excluded = set()
         for g in avoid:
             if not self.in_class(g):
                 raise InputError(f"avoid set holds non-class element {antichain_label(g)}")
@@ -176,34 +175,22 @@ class SyntheticAntichainModel(SplittingStructure):
                 raise InputError(
                     f"avoid set holds {antichain_label(g)} <= {antichain_label(f)}"
                 )
-        return s
-
-    def _excluded_letters(self, s: Seq, avoid: frozenset) -> set[int]:
-        out = set()
-        for g in avoid:
-            t = self._the(g)
+            (t,) = g
             if len(t) > len(s) and t[: len(s)] == s:
-                out.add(t[len(s)])
+                excluded.add(t[len(s)])
+        fresh = (m for m in itertools.count() if m not in excluded)
+        out: list[Antichain] = [frozenset({s + (next(fresh),)}) for _ in range(count)]
+        for h in out:
+            self._discover(h)
         return out
 
     def cond_ii(self, f: Antichain, avoid: frozenset) -> Antichain:
         """One strict extension whose joins with `avoid` leave the class."""
-        s = self._check_split_query(f, avoid)
-        excluded = self._excluded_letters(s, avoid)
-        m = next(m for m in itertools.count() if m not in excluded)
-        h: Antichain = frozenset({s + (m,)})
-        self._discover(h)
+        (h,) = self._extensions(f, avoid, 1)
         return h
 
     def split(self, f: Antichain, avoid: frozenset) -> tuple[Antichain, Antichain]:
-        s = self._check_split_query(f, avoid)
-        excluded = self._excluded_letters(s, avoid)
-        fresh = (m for m in itertools.count() if m not in excluded)
-        m0, m1 = next(fresh), next(fresh)
-        h0: Antichain = frozenset({s + (m0,)})
-        h1: Antichain = frozenset({s + (m1,)})
-        self._discover(h0)
-        self._discover(h1)
+        h0, h1 = self._extensions(f, avoid, 2)
         return h0, h1
 
     def _discover(self, h: Antichain) -> None:
@@ -325,21 +312,17 @@ def split_from_cond_ii(
     """
 
     def split(f: object, avoid: frozenset) -> tuple[object, object]:
-        try:
-            h0 = cond_ii(f, avoid)
-        except Exception as exc:
-            raise InvariantViolation(
-                f"one-extension oracle failed on f={structure.describe(f)}, "
-                f"B={sorted(structure.describe(g) for g in avoid)}: {exc}"
-            ) from exc
-        try:
-            h1 = cond_ii(f, avoid | {h0})
-        except Exception as exc:
-            raise InvariantViolation(
-                f"one-extension oracle failed on f={structure.describe(f)}, "
-                f"B={sorted(structure.describe(g) for g in avoid | {h0})}: {exc}"
-            ) from exc
-        return h0, h1
+        halves: tuple = ()
+        for _ in range(2):
+            avoiding = avoid | set(halves) if halves else avoid
+            try:
+                halves += (cond_ii(f, avoiding),)
+            except Exception as exc:
+                raise InvariantViolation(
+                    f"one-extension oracle failed on f={structure.describe(f)}, "
+                    f"B={sorted(structure.describe(g) for g in avoiding)}: {exc}"
+                ) from exc
+        return halves
 
     return split
 

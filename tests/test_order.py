@@ -4,6 +4,7 @@ Expected values are frozen from independent oracles: subset brute force
 for upsets and closures, a relation-matrix sweep for the poset counts.
 """
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -61,6 +62,68 @@ class TestPosetConstruction:
             chain2.index_of("z")
         with pytest.raises(InputError):
             from_relation(["a"], [("a", "z")])
+
+
+def reference_axiom_error(elements, up):
+    """The order-axiom checks as a double loop over all n^2 pairs, kept
+    to pin which error Poset's up-cone loop raises: the message or None."""
+    n = len(elements)
+    full = (1 << n) - 1
+    for i, cone in enumerate(up):
+        if cone & ~full:
+            return f"up-cone of {elements[i]!r} mentions unknown elements"
+        if not (cone >> i) & 1:
+            return f"order not reflexive at {elements[i]!r}"
+    for i in range(n):
+        for j in range(n):
+            if i != j and (up[i] >> j) & 1 and (up[j] >> i) & 1:
+                return f"order not antisymmetric on ({elements[i]!r}, {elements[j]!r})"
+            if (up[i] >> j) & 1 and up[j] & ~up[i]:
+                return f"order not transitive at ({elements[i]!r}, {elements[j]!r})"
+    return None
+
+
+def axiom_error(elements, up):
+    try:
+        Poset(elements, up)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def seeded_tables(seed, count):
+    """Up-tables on 4-6 elements: mostly reflexive, half of them closed
+    transitively, so every clause both holds and fails among them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        up = [rng.getrandbits(n) | (1 << i if rng.random() < 0.95 else 0) for i in range(n)]
+        if rng.random() < 0.5:  # Warshall's closure
+            for k, i in product(range(n), repeat=2):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        yield tuple(up)
+
+
+class TestAxiomChecksDifferential:
+    def test_every_table_on_three_elements_or_fewer(self):
+        outcomes = set()
+        for n in range(4):
+            elements = tuple("abc"[:n])
+            for up in product(range(1 << n), repeat=n):
+                expected = reference_axiom_error(elements, up)
+                assert axiom_error(elements, up) == expected, up
+                outcomes.add(expected.split(" ")[2] if expected else None)
+        assert outcomes == {None, "reflexive", "antisymmetric", "transitive"}
+
+    def test_seeded_tables_on_four_to_six_elements(self):
+        elements = tuple("abcdef")
+        accepted = 0
+        for up in seeded_tables(seed=13, count=20_000):
+            expected = reference_axiom_error(elements[: len(up)], up)
+            assert axiom_error(elements[: len(up)], up) == expected, up
+            accepted += expected is None
+        assert accepted > 0
 
 
 class TestIsUpset:

@@ -4,7 +4,10 @@ Countermodel golden values were computed by the independent brute-force
 sweep in `first_refutation` below and then frozen.
 """
 
+import gc
 import time
+import weakref
+from dataclasses import astuple
 from itertools import product
 
 import pytest
@@ -344,7 +347,7 @@ class TestLaneTables:
 
     def test_tables_are_kept_per_frame(self, fork):
         assert not theory_contains(fork, parse("(p -> q) | (q -> p)"))
-        tables = semantics._refutations[fork]
+        tables = fork._tables
         cones, last, rows = tables.cones, tables.last, tables.rows
         assert rows is not None and len(rows) == len(tables.values) == 5
         assert not theory_contains(fork, parse("~p | ~~p | q"))
@@ -355,7 +358,7 @@ class TestLaneTables:
         wide = from_relation([f"a{i}" for i in range(16)], [])
         assert theory_contains(wide, parse("p | ~p"))  # an antichain is classical
         assert frame_witness(wide, parse("p")) is not None
-        tables = semantics._refutations[wide]
+        tables = wide._tables
         assert len(tables.values) == 1 << 16
         assert tables.rows is None
         with pytest.raises(CapacityError, match=r"valuation guard: 65536\^2"):
@@ -366,8 +369,49 @@ class TestLaneTables:
         frame = from_relation(["u0", "u1", "u2"], [("u0", "u1")])  # asked nothing else
         assert not theory_contains(frame, parse("bot"))
         assert theory_contains(frame, parse("bot -> bot"))
-        tables = semantics._refutations[frame]
+        tables = frame._tables
         assert tables.last is None and tables.rows is None
+
+
+class TestTablesLiveOnTheStructure:
+    """A structure's tables and answers are held by the structure alone, so
+    they go when it goes, and an equal copy rebuilds the same answers.
+    Each test labels its fork apart, so no structure another test asked
+    about is equal to it."""
+
+    FORMULA = parse("(p -> q) | (q -> p)")
+
+    @staticmethod
+    def fork_frame(tag):
+        r, l, k = f"{tag}-r", f"{tag}-l", f"{tag}-k"
+        return from_relation([r, l, k], [(r, l), (r, k)])
+
+    @classmethod
+    def fork_algebra(cls, tag):
+        return upset_algebra(cls.fork_frame(tag))
+
+    @pytest.mark.parametrize("build", ["fork_frame", "fork_algebra"])
+    def test_a_dropped_structure_is_collected(self, build):
+        structure = getattr(self, build)(f"dropped-{build}")
+        assert not theory_contains(structure, self.FORMULA)
+        gone = weakref.ref(structure)
+        del structure
+        gc.collect()
+        assert gone() is None
+
+    @pytest.mark.parametrize("build", ["fork_frame", "fork_algebra"])
+    def test_an_equal_copy_gives_the_same_refutation(self, build):
+        structure = getattr(self, build)(f"equal-{build}")
+        kind, fields = type(structure), astuple(structure)
+        first = semantics._first_refutation(structure, self.FORMULA, semantics.MAX_VALUATIONS)
+        gone = weakref.ref(structure)
+        del structure
+        gc.collect()
+        assert gone() is None
+        copy = kind(*fields)
+        assert not hasattr(copy, "_tables")
+        again = semantics._first_refutation(copy, self.FORMULA, semantics.MAX_VALUATIONS)
+        assert first is not None and again == first
 
 
 class TestBinaryTree:

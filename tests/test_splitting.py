@@ -303,6 +303,45 @@ class TestSplitFromCondII:
             oracle(ac(()), frozenset())
 
 
+class TestExtensionPins:
+    """What the model's two oracles return, queue and raise, frozen from the
+    code from before they shared one extension routine."""
+
+    @pytest.mark.parametrize(
+        "f, avoid, message",
+        [
+            (ac((0,), (1,)), frozenset(), "split called on non-class element {0,1}"),
+            (ac((0,)), frozenset({ac((1,), (2,))}), "avoid set holds non-class element {1,2}"),
+            (ac((0, 1)), frozenset({ac((0,))}), "avoid set holds {0} <= {01}"),
+        ],
+    )
+    def test_bad_queries_raise_the_same_message(self, f, avoid, message):
+        model = SyntheticAntichainModel()
+        for oracle in (model.split, model.cond_ii):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                oracle(f, avoid)
+
+    def test_fresh_letters_and_discovery_order(self):
+        model = SyntheticAntichainModel()
+        halves = model.split(ac((0,)), frozenset({ac((0, 0)), ac((0, 2)), ac((1,))}))
+        assert halves == (ac((0, 1)), ac((0, 3)))
+        assert model.cond_ii(ac((0,)), frozenset({ac((0, 0)), ac((0, 1))})) == ac((0, 2))
+        assert list(model._queue) == [ac((0, 1)), ac((0, 3)), ac((0, 2))]
+
+    def test_second_call_failure_names_the_grown_avoid_set(self):
+        model = SyntheticAntichainModel()
+
+        def second_fails(f, avoid):
+            if avoid:
+                raise RuntimeError("boom")
+            return model.cond_ii(f, avoid)
+
+        oracle = split_from_cond_ii(model, second_fails)
+        message = "one-extension oracle failed on f={}, B=['{0}']: boom"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            oracle(ac(()), frozenset())
+
+
 class TestEnumeration:
     def test_canonical_prefix(self):
         model = SyntheticAntichainModel()
