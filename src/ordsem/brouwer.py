@@ -227,21 +227,52 @@ def _restrict(algebra: BrouwerAlgebra, xi: int, reps: list[int], labels: list[st
     return BrouwerAlgebra(tuple(labels), join, meet, impl)
 
 
+def _classes(algebra: BrouwerAlgebra, xi: int) -> list[int]:
+    """The ascending canonical representatives y (x) x of the classes."""
+    return sorted({row[xi] for row in algebra.meet})
+
+
 def quotient(algebra: BrouwerAlgebra, x: str) -> BrouwerAlgebra:
     """Factor by the principal filter of x: y ~ z iff y (x) x = z (x) x.
 
     Classes are represented canonically by y (x) x and labelled ``[...]``,
-    so the carrier is the interval [0, x]: ``interval_algebra`` shares the
-    builder and differs only in taking its members from the down-cone of
-    x.  The induced implication is [(y (x) x) -> (z (x) x)].  The class map
+    so the carrier is the interval [0, x]; ``interval_algebra`` returns
+    this same algebra under its members' plain labels.  The induced
+    implication is [(y (x) x) -> (z (x) x)].  The class map
     y |-> [y (x) x] preserves 0, 1, (+) and (x) but not ->: of the 1788
     (upset algebra, x) pairs over posets on at most 4 elements, it fails
     -> on 1078.  Hence the implication is computed on representatives
     rather than read off the class of y -> z.
     """
     xi = algebra.index_of(x)
-    reps = sorted({algebra.meet[y][xi] for y in range(algebra.n)})
+    reps = _classes(algebra, xi)
     return _restrict(algebra, xi, reps, [f"[{algebra.carrier[r]}]" for r in reps])
+
+
+def _relabel(algebra: BrouwerAlgebra, labels: tuple[str, ...]) -> BrouwerAlgebra:
+    """``algebra`` under other carrier labels, sharing its table objects,
+    order cones, 0 and 1.
+
+    Only the labels are checked, their count and distinctness: every other
+    check of the constructor reads the tables alone, and ``algebra``'s
+    construction has passed them on these same objects.  Theory tables
+    (``_tables``) are not carried over; a structure's answers stay its own.
+    """
+    if len(labels) != algebra.n:
+        raise InputError(f"{len(labels)} labels for {algebra.n} carrier elements")
+    if len(set(labels)) != len(labels):
+        raise InputError("duplicate carrier labels")
+    order = object.__new__(Poset)
+    object.__setattr__(order, "elements", labels)
+    object.__setattr__(order, "up", algebra.up)
+    out = object.__new__(BrouwerAlgebra)
+    for name, value in (
+        ("carrier", labels), ("join", algebra.join), ("meet", algebra.meet),
+        ("impl", algebra.impl), ("_order", order), ("bottom", algebra.bottom),
+        ("top", algebra.top),
+    ):
+        object.__setattr__(out, name, value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -281,14 +312,18 @@ class AlgebraHomomorphism:
 
 def interval_algebra(algebra: BrouwerAlgebra, x: str) -> tuple[BrouwerAlgebra, AlgebraHomomorphism]:
     """The algebra on [0, x] with y ->' z = (y -> z) (x) x, plus the
-    isomorphism u |-> [u] onto quotient(algebra, x), found by label lookup.
+    isomorphism u |-> [u] onto quotient(algebra, x).
 
-    Same builder as ``quotient``; the members are the down-cone of x and
-    keep their carrier labels.
+    When (x) is the glb, the classes y (x) x are exactly the down-cone of
+    x, in the same ascending order, so the interval is the quotient with
+    its brackets dropped: its tables are built once and the isomorphism
+    is the identity on indices.  An algebra whose classes are not the
+    down-cone of x is refused with ``InputError``.
     """
     xi = algebra.index_of(x)
     members = list(bits(algebra.down[xi]))
-    interval = _restrict(algebra, xi, members, [algebra.carrier[r] for r in members])
-    quot = quotient(algebra, x)
-    mapping = tuple(quot.index_of(f"[{algebra.carrier[r]}]") for r in members)
-    return interval, AlgebraHomomorphism(interval, quot, mapping, is_isomorphism=True)
+    if _classes(algebra, xi) != members:
+        raise InputError(f"the classes of {x!r} are not its down-cone: (x) is not the glb")
+    quot = _restrict(algebra, xi, members, [f"[{algebra.carrier[r]}]" for r in members])
+    interval = _relabel(quot, tuple(algebra.carrier[r] for r in members))
+    return interval, AlgebraHomomorphism(interval, quot, tuple(range(quot.n)), is_isomorphism=True)

@@ -171,11 +171,11 @@ class SyntheticAntichainModel(SplittingStructure):
         for g in avoid:
             if not self.in_class(g):
                 raise InputError(f"avoid set holds non-class element {antichain_label(g)}")
-            if self.leq(g, f):
+            (t,) = g
+            if s[: len(t)] == t:  # g <= f: t is a prefix of s
                 raise InputError(
                     f"avoid set holds {antichain_label(g)} <= {antichain_label(f)}"
                 )
-            (t,) = g
             if len(t) > len(s) and t[: len(s)] == s:
                 excluded.add(t[len(s)])
         fresh = (m for m in itertools.count() if m not in excluded)
@@ -230,7 +230,11 @@ def check_split_conditions(
     h0: object,
     h1: object,
 ) -> Report:
-    """All defining clauses of a split, each violation naming its clause."""
+    """All defining clauses of a split, each violation naming its clause.
+
+    The query must be one a split answers: f and every avoid element in
+    the class, and no avoid element below f.
+    """
     if not structure.in_class(f):
         raise InputError(f"f = {structure.describe(f)} is not in the class")
     for g in avoid:
@@ -240,6 +244,15 @@ def check_split_conditions(
             raise InputError(
                 f"avoid element {structure.describe(g)} is below f = {structure.describe(f)}"
             )
+    return _split_clauses(structure, f, avoid, h0, h1)
+
+
+def _split_clauses(
+    structure: SplittingStructure, f: object, avoid: frozenset, h0: object, h1: object
+) -> Report:
+    """The clauses of ``check_split_conditions`` without its precondition,
+    for callers whose f and avoid elements are enumerated or placed class
+    elements, the avoid set chosen by the same ``leq(g, f)`` answers."""
     violations: list[str] = []
     checked = 0
     for name, h in (("h0", h0), ("h1", h1)):
@@ -291,7 +304,7 @@ def verify_splitting_class(structure: SplittingStructure, depth: int) -> Report:
                     checked += 1
                     violations.append(f"split failed on {label(f, avoid)}: {exc}")
                     continue
-                sub = check_split_conditions(structure, f, avoid, h0, h1)
+                sub = _split_clauses(structure, f, avoid, h0, h1)
                 checked += sub.checked + 1
                 violations.extend(f"{v} on {label(f, avoid)}" for v in sub.violations)
                 if structure.leq(h0, f):
@@ -502,7 +515,7 @@ def build_pmorphism(
             h0, h1 = structure.split(a, avoid)
         except Exception as exc:
             raise InvariantViolation(f"split oracle failed at stage R{2 * k + 2}: {exc}") from exc
-        oracle_report = check_split_conditions(structure, a, avoid, h0, h1)
+        oracle_report = _split_clauses(structure, a, avoid, h0, h1)
         if not oracle_report.ok:
             raise InvariantViolation(
                 f"split oracle broke its contract at stage R{2 * k + 2}: "

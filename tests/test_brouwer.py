@@ -8,6 +8,7 @@ import pytest
 
 from ordsem.brouwer import (
     BrouwerAlgebra,
+    _relabel,
     interval_algebra,
     quotient,
     upset_algebra,
@@ -15,6 +16,7 @@ from ordsem.brouwer import (
 )
 from ordsem.documents import algebra_from_json, algebra_to_json
 from ordsem.errors import InputError, Report
+from ordsem.formulas import parse
 from ordsem.order import (
     bits,
     from_relation,
@@ -23,7 +25,7 @@ from ordsem.order import (
     random_posets,
     upset_masks,
 )
-from ordsem.semantics import binary_tree_frame
+from ordsem.semantics import binary_tree_frame, theory_contains
 
 # -- reference: the loop-based verify_brouwer as it stood before the
 # certificates, every clause over every instance; the oracle for them --------
@@ -474,6 +476,100 @@ class TestInterval:
                 assert interval.join == quot.join
                 assert interval.meet == quot.meet
                 assert interval.impl == quot.impl
+
+    def test_meet_not_the_glb_is_refused(self, antichain2):
+        # the 4-element Boolean algebra with {} (x) {a} moved to {}, outside
+        # [0, {a}]: the classes are not the down-cone, and the two-build
+        # interval paired it with a flagged isomorphism that fails verify()
+        algebra = upset_algebra(antichain2)
+        meet = [list(row) for row in algebra.meet]
+        assert meet[0][1] == 1
+        meet[0][1] = 0
+        broken = BrouwerAlgebra(
+            algebra.carrier, algebra.join, tuple(map(tuple, meet)), algebra.impl
+        )
+        assert not verify_brouwer(broken).ok
+        with pytest.raises(InputError, match="not its down-cone"):
+            interval_algebra(broken, "{a}")
+
+
+def two_build_interval(algebra, x):
+    """The interval as it was built before it became the quotient
+    relabelled: its own restricted tables, then a second build inside
+    ``quotient``, with the isomorphism found by label lookup."""
+    xi = algebra.index_of(x)
+    members = list(bits(algebra.down[xi]))
+    pos = {r: i for i, r in enumerate(members)}
+    interval = BrouwerAlgebra(
+        tuple(algebra.carrier[r] for r in members),
+        tuple(tuple(pos[algebra.join[r][s]] for s in members) for r in members),
+        tuple(tuple(pos[algebra.meet[r][s]] for s in members) for r in members),
+        tuple(
+            tuple(pos[algebra.meet[algebra.impl[r][s]][xi]] for s in members)
+            for r in members
+        ),
+    )
+    quot = quotient(algebra, x)
+    mapping = tuple(quot.index_of(f"[{algebra.carrier[r]}]") for r in members)
+    return interval, quot, mapping
+
+
+class TestIntervalDifferential:
+    """``interval_algebra`` against the two-build copy above."""
+
+    FORMULAS = [parse(f) for f in ("p | ~p", "~p | ~~p", "(p -> q) | (q -> p)", "~~p -> p")]
+
+    def assert_same(self, algebra):
+        for x in algebra.carrier:
+            interval, hom = interval_algebra(algebra, x)
+            old, old_quot, old_mapping = two_build_interval(algebra, x)
+            assert interval.carrier == old.carrier
+            assert (interval.join, interval.meet, interval.impl) == (old.join, old.meet, old.impl)
+            assert interval.up == old.up
+            assert (interval.bottom, interval.top) == (old.bottom, old.top)
+            assert hom.target == old_quot and hom.source is interval
+            assert hom.mapping == old_mapping == tuple(range(interval.n))
+            assert hom.verify().ok
+            rebuilt = BrouwerAlgebra(*dataclasses.astuple(interval))
+            assert interval == rebuilt
+            assert (rebuilt.bottom, rebuilt.top) == (interval.bottom, interval.top)
+            assert interval.order == rebuilt.order and interval.index == rebuilt.index
+            for f in self.FORMULAS:
+                assert theory_contains(interval, f) == theory_contains(rebuilt, f)
+
+    def test_every_upset_algebra_on_at_most_four_elements(self):
+        pairs = 0
+        for n in range(1, 5):
+            for poset in generate_posets(n):
+                algebra = upset_algebra(poset)
+                self.assert_same(algebra)
+                pairs += algebra.n
+        assert pairs == 1788
+
+    def test_five_antichain(self):
+        algebra = upset_algebra(from_relation(["a", "b", "c", "d", "e"], []))
+        assert algebra.n == 32
+        self.assert_same(algebra)
+
+    def test_quotients_of_three_element_algebras(self):
+        for poset in generate_posets(3):
+            algebra = upset_algebra(poset)
+            for x in algebra.carrier:
+                self.assert_same(quotient(algebra, x))
+
+    def test_relabel_checks_labels_and_leaves_theory_tables(self, fork):
+        algebra = upset_algebra(fork)
+        assert not theory_contains(algebra, self.FORMULAS[0])
+        assert hasattr(algebra, "_tables")
+        labels = tuple(f"e{i}" for i in range(algebra.n))
+        relabelled = _relabel(algebra, labels)
+        assert not hasattr(relabelled, "_tables")
+        assert relabelled == BrouwerAlgebra(labels, algebra.join, algebra.meet, algebra.impl)
+        assert relabelled.join is algebra.join and relabelled.up is algebra.up
+        with pytest.raises(InputError, match="duplicate carrier labels"):
+            _relabel(algebra, ("e0",) * algebra.n)
+        with pytest.raises(InputError, match="labels for"):
+            _relabel(algebra, labels[1:])
 
 
 class TestDump:

@@ -407,6 +407,31 @@ class TestBuild:
             assert alpha.check_invariants().ok
             assert verify_pmorphism(pmorphism_of(alpha)).ok
 
+    def test_avoid_questions_are_not_asked_again_after_the_split(self):
+        # the avoid pass decides leq(g, a) for every placed g; neither the
+        # model's split nor the clause check asks it again
+        class Recording(SyntheticAntichainModel):
+            def __init__(self):
+                super().__init__(seed=3)
+                self.log = []
+
+            def leq(self, a, b):
+                self.log.append((a, b))
+                return super().leq(a, b)
+
+            def split(self, f, avoid):
+                self.log.append(("split", f, avoid))
+                return super().split(f, avoid)
+
+        model = Recording()
+        build_pmorphism(model, 4, 64)
+        splits = [i for i, entry in enumerate(model.log) if entry[0] == "split"]
+        assert sum(len(model.log[i][2]) for i in splits) > 100
+        for start, end in zip(splits, splits[1:] + [len(model.log)]):
+            _, f, avoid = model.log[start]
+            asked = set(model.log[start + 1 : end])
+            assert not any((g, f) in asked for g in avoid)
+
     def test_trace_records_stages(self):
         model = SyntheticAntichainModel()
         alpha = build_pmorphism(model, 2, 3)
