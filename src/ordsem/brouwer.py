@@ -217,14 +217,37 @@ def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
 def _restrict(algebra: BrouwerAlgebra, xi: int, reps: list[int], labels: list[str]) -> BrouwerAlgebra:
     """[0, x] tabled on the ascending ``reps``: (+) and (x) restricted and
     y ->' z = (y -> z) (x) x; the constructor reads the order, 0 (the
-    class of 0) and 1 (x) off the restricted join table."""
+    class of 0) and 1 (x) off the restricted join table.  A (+) or (x)
+    cell of two representatives that is no representative itself, which
+    a Brouwer algebra never has, raises ``InputError`` naming it."""
     pos = {r: i for i, r in enumerate(reps)}
-    join = tuple(tuple(pos[algebra.join[r][s]] for s in reps) for r in reps)
-    meet = tuple(tuple(pos[algebra.meet[r][s]] for s in reps) for r in reps)
+    try:
+        join = tuple(tuple(pos[algebra.join[r][s]] for s in reps) for r in reps)
+        meet = tuple(tuple(pos[algebra.meet[r][s]] for s in reps) for r in reps)
+    except KeyError:
+        raise InputError(_stray_cell(algebra, xi, reps)) from None
     impl = tuple(
         tuple(pos[algebra.meet[algebra.impl[r][s]][xi]] for s in reps) for r in reps
     )
     return BrouwerAlgebra(tuple(labels), join, meet, impl)
+
+
+def _stray_cell(algebra: BrouwerAlgebra, xi: int, reps: list[int]) -> str:
+    """The first (+) or (x) cell of two representatives that lands outside
+    them, for an error message; called once such a cell was met."""
+    members = set(reps)
+    name, r, s, value = next(
+        (name, r, s, table[r][s])
+        for name, table in (("(+)", algebra.join), ("(x)", algebra.meet))
+        for r in reps
+        for s in reps
+        if table[r][s] not in members
+    )
+    label = algebra.carrier
+    return (
+        f"{label[r]} {name} {label[s]} = {label[value]} is not y (x) {label[xi]} "
+        "for any y: not a Brouwer algebra"
+    )
 
 
 def _classes(algebra: BrouwerAlgebra, xi: int) -> list[int]:
@@ -243,6 +266,11 @@ def quotient(algebra: BrouwerAlgebra, x: str) -> BrouwerAlgebra:
     (upset algebra, x) pairs over posets on at most 4 elements, it fails
     -> on 1078.  Hence the implication is computed on representatives
     rather than read off the class of y -> z.
+
+    The input is not verified: one whose (+) or (x) sends two classes
+    outside the classes raises ``InputError``, but another non-Brouwer
+    input may still give a non-Brouwer quotient.  ``ordsem algebra
+    quotient`` verifies its input first.
     """
     xi = algebra.index_of(x)
     reps = _classes(algebra, xi)

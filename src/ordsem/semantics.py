@@ -8,12 +8,15 @@ formula is compiled once, its program is the only form evaluated, and
 it is stored on the formula's (interned) node, so it lives exactly as
 long as the formula.
 
-A theory query runs the last variable's values side by side in lanes, in
-both modes: a frame sweep holds one bit per upset of it at every point,
-and an algebra fold one carrier index per element, where a step that
-does not read it runs once for all lanes.  One sweep or fold runs per
-choice of the leading variables.  Each structure keeps its sweep tables
-and its answers on itself, so they last as long as the structure.
+A theory query runs trailing variables' values side by side in lanes.  A
+frame sweep holds one bit per lane at every point, and a lane is one
+choice of upsets for as many trailing variables as keep the lane count
+within ``_MAX_LANES``: every two-variable query on a frame of at most 90
+upsets is one sweep.  An algebra fold holds one carrier index per lane,
+one lane per value of the last variable, and a step that does not read
+it runs once for all lanes.  One sweep or fold runs per choice of the
+remaining leading variables.  Each structure keeps its sweep tables and
+its answers on itself, so they last as long as the structure.
 
 Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
@@ -35,6 +38,14 @@ from .order import Poset, Upset, bits, upset_masks
 
 MAX_VALUATIONS = 2_000_000
 MAX_TREE_HEIGHT = 10  # 2^{<10} has 1023 nodes
+
+# A frame sweep folds trailing variables into its lanes while their
+# choices number at most this.  2^13 makes each two-variable query on the
+# 80- and 72-upset sources of `bench/run.py --workload transfer` one
+# sweep (job_s 0.19 -> 0.06 s against one variable per lane, Python
+# 3.11 on a 2-core host), while 2^{<4}, whose 677 upsets squared exceed
+# it, keeps one variable per lane and its speed.
+_MAX_LANES = 1 << 13
 
 # Opcodes index the (join, meet, impl) tables of an algebra.
 _AND, _OR, _IMP = 0, 1, 2
@@ -163,24 +174,30 @@ def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula)
 
 class _Tables:
     """One structure's valuation values and answers, plus the frame
-    sweep's tables: the points' up-cones, the last variable's lanes and
-    the leading variables' rows.  The structure holds them as ``_tables``,
-    set by its first query.  Each table is built by the first query that
-    needs it, once that query has passed the valuation guard.
+    sweep's tables: the points' up-cones and its ``lanes``.  The structure
+    holds them as ``_tables``, set by its first query.  Each table is built
+    by the first query that needs it, once that query has passed the
+    valuation guard.
+
+    ``lanes`` maps a lane width d to (trailing, rows).  ``trailing`` holds
+    the slots of the last d variables, most significant first: bit c of
+    ``trailing[j][x]`` says whether point x lies in the upset that lane c
+    gives the j-th of them.  ``rows[i]`` is the slot of a leading variable
+    valued by the i-th upset, the same in every lane; it is None until a
+    query with a leading variable asks for it.
 
     ``answers`` maps each formula asked to its first refuting choice of
     values, or None.  It keys on the formula's node, so a formula asked
     of a structure stays interned as long as the structure's tables.
     """
 
-    __slots__ = ("values", "answers", "cones", "last", "rows")
+    __slots__ = ("values", "answers", "cones", "lanes")
 
     def __init__(self, values: tuple[int, ...] | range):
         self.values = values
         self.answers: dict[Formula, tuple[int, ...] | None] = {}
         self.cones: list[list[int]] | None = None
-        self.last: list[int] | None = None
-        self.rows: list[list[int]] | None = None
+        self.lanes: dict[int, tuple[list[list[int]], list[list[int]] | None]] = {}
 
 
 def _algebra_refutation(
@@ -222,9 +239,38 @@ def _algebra_refutation(
     return None
 
 
+def _lane_width(count: int, variables: int) -> int:
+    """How many trailing variables share the lanes, of a query's
+    ``variables`` over ``count`` upsets: as many as keep the lanes within
+    ``_MAX_LANES``, and at least the last one."""
+    width = 1
+    while width < variables and count ** (width + 1) <= _MAX_LANES:
+        width += 1
+    return width
+
+
+def _trailing_slots(frame: Poset, masks: tuple[int, ...], width: int) -> list[list[int]]:
+    """The last ``width`` variables' slots.  Lane c spells their upsets'
+    indices in base len(masks), most significant first, so variable j's
+    index holds for a block of len(masks)**(width-1-j) lanes, and the
+    blocks of all its upsets repeat len(masks)**j times."""
+    count, points = len(masks), range(frame.n)
+    slots = []
+    for j in range(width):
+        block, cycles = count ** (width - 1 - j), count**j
+        one, zero = "1" * block, "0" * block
+        slots.append([
+            int("".join([one if mask >> x & 1 else zero for mask in reversed(masks)]) * cycles, 2)
+            for x in points
+        ])
+    return slots
+
+
 def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[int, ...] | None:
-    """One sweep per choice of the leading variables, the last one's
-    upsets side by side in the lanes."""
+    """One sweep per choice of the leading variables, the trailing ones'
+    upsets side by side in the lanes.  Lane order is canonical order, so
+    the lowest refuted lane of the first refuted sweep is the first
+    refutation."""
     names, steps, root = program
     if tables.cones is None:
         tables.cones = _cones(frame)
@@ -232,25 +278,27 @@ def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[in
     if not names:
         forced = _sweep(cones, steps, root, [falsum], 1)
         return None if all(forced) else ()
-    masks, points = tables.values, range(frame.n)
-    ones = (1 << len(masks)) - 1
-    if tables.last is None:  # lane c of point x: does the c-th upset hold x
-        tables.last = [
-            int("".join(["1" if mask >> x & 1 else "0" for mask in reversed(masks)]), 2)
-            for x in points
-        ]
-    if len(names) > 1 and tables.rows is None:
-        # a leading variable's slot is the same in every lane
-        tables.rows = [[ones if mask >> x & 1 else 0 for x in points] for mask in masks]
-    last, rows = tables.last, tables.rows
-    for lead in product(range(len(masks)), repeat=len(names) - 1):
+    masks = tables.values
+    count = len(masks)
+    width = _lane_width(count, len(names))
+    leading = len(names) - width
+    ones = (1 << count**width) - 1
+    trailing, rows = tables.lanes.get(width, (None, None))
+    if trailing is None:
+        trailing = _trailing_slots(frame, masks, width)
+    if leading and rows is None:
+        rows = [[ones if mask >> x & 1 else 0 for x in range(frame.n)] for mask in masks]
+    tables.lanes[width] = trailing, rows
+    for lead in product(range(count), repeat=leading):
         refuted = 0
-        slots = [*[rows[i] for i in lead], last, falsum]
+        slots = [*[rows[i] for i in lead], *trailing, falsum]
         for lanes in _sweep(cones, steps, root, slots, ones):
             refuted |= ~lanes
         refuted &= ones
         if refuted:
-            return (*[masks[i] for i in lead], masks[(refuted & -refuted).bit_length() - 1])
+            lane = (refuted & -refuted).bit_length() - 1
+            digits = [lane // count ** (width - 1 - j) % count for j in range(width)]
+            return tuple(masks[i] for i in (*lead, *digits))
     return None
 
 
@@ -261,10 +309,11 @@ def _first_refutation(
 
     Canonical order is the product, over the sorted variable names, of the
     carrier indices (algebra) or the ascending upset masks (frame).  Both
-    modes run the last variable's values side by side in lanes: the first
-    refutation is the lowest refuted lane of the first choice of the
-    leading variables that has one.  A structure's values are cached with
-    its answers, so the guard holds for cached answers too.
+    modes run trailing variables' values side by side in lanes, in
+    canonical order: the first refutation is the lowest refuted lane of
+    the first choice of the leading variables that has one.  A
+    structure's values are cached with its answers, so the guard holds
+    for cached answers too.
     """
     if not isinstance(structure, (BrouwerAlgebra, Poset)):
         raise InputError(f"cannot compute a theory over {type(structure).__name__}")

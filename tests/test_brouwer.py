@@ -386,6 +386,33 @@ class TestQuotient:
         with pytest.raises(InputError):
             quotient(upset_algebra(chain2), "nope")
 
+    def test_meet_cell_outside_the_classes_is_named(self, fork):
+        algebra = upset_algebra(fork)
+        meet = [list(row) for row in algebra.meet]
+        meet[0][0] = 1  # {} (x) {} = {l}: {} is no class of {} any more
+        broken = dataclasses.replace(algebra, meet=tuple(map(tuple, meet)))
+        with pytest.raises(InputError, match=r"^\{l\} \(\+\) \{k\} = \{\} is not y \(x\) \{\} "):
+            quotient(broken, "{}")
+
+    def test_one_moved_self_meet_cell_never_escapes_as_key_error(self, fork):
+        # moving one y (x) y cell, over every y, new value and x: each
+        # quotient either builds or is refused with InputError
+        algebra = upset_algebra(fork)
+        refused = 0
+        for y in range(algebra.n):
+            for value in range(algebra.n):
+                if value == algebra.meet[y][y]:
+                    continue
+                meet = [list(row) for row in algebra.meet]
+                meet[y][y] = value
+                broken = dataclasses.replace(algebra, meet=tuple(map(tuple, meet)))
+                for x in algebra.carrier:
+                    try:
+                        quotient(broken, x)
+                    except InputError:
+                        refused += 1
+        assert refused == 17
+
 
 def quotient_by_definition(algebra, x):
     """The factor by the principal filter of x, from the definition alone.

@@ -5,6 +5,7 @@ sweep in `first_refutation` below and then frozen.
 """
 
 import gc
+import random
 import time
 import weakref
 from dataclasses import astuple
@@ -293,11 +294,27 @@ class TestTheory:
                     assert masks[algebra.index_of(value)] == expected
 
 
+def transfer_sized_frames(seed, count):
+    """Seeded frames on 6 and 7 elements, the sizes of the benchmark's
+    transfer sources: each pair i < j is related with probability 1/4."""
+    rng = random.Random(seed)
+    frames = []
+    for k in range(count):
+        labels = "abcdefg"[: 6 + k % 2]
+        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.25]
+        frames.append(from_relation(labels, pairs))
+    return frames
+
+
 class TestFrameSweepDifferential:
-    """The bit-sliced sweep finds the refutation the one-at-a-time loop did."""
+    """The bit-sliced sweep finds the refutation the one-at-a-time loop did,
+    whether one variable, two or three share the lanes."""
 
     CORPUS = parsed(MIXED_CORPUS + IPC_THEOREMS[25:])  # and the 3-variable theorems
     FRAMES = random_posets(4, 20, seed=5) + random_posets(5, 20, seed=6)
+    THREE_VARIABLES = parsed(
+        IPC_THEOREMS[25:] + BOUNDED_REFUTED[-1:] + ("(p -> q) | (q -> r) | (r -> p)", "p & q -> r")
+    )
 
     def test_every_small_poset(self):
         for poset in (p for n in (1, 2, 3, 4) for p in generate_posets(n)):
@@ -308,6 +325,38 @@ class TestFrameSweepDifferential:
         for frame in (from_relation("abcde", []), binary_tree_frame(3)):
             for formula in self.CORPUS:
                 assert_sweep_matches_reference(frame, formula)
+
+    def test_transfer_sized_frames(self):
+        # the two fixed 80- and 72-upset sources, and seeded ones of 20 to 68:
+        # every two-variable formula is one sweep of up to 6,400 lanes
+        frames = [
+            from_relation("abcdefg", [("a", "b"), ("a", "c")]),
+            from_relation("abcdefg", [("a", "b"), ("c", "d")]),
+            *transfer_sized_frames(3, 6),
+        ]
+        assert [len(upset_masks(frame)) for frame in frames[:2]] == [80, 72]
+        for frame in frames:
+            for formula in parsed(MIXED_CORPUS):
+                assert_sweep_matches_reference(frame, formula)
+            assert set(frame._tables.lanes) == {1, 2}
+
+    def test_three_variables_share_the_lanes(self):
+        # at most 20 upsets: 20^3 = 8,000 lanes, one sweep per formula
+        frames = [p for n in (2, 3) for p in generate_posets(n)]
+        frames += [p for p in generate_posets(4) if 16 <= len(upset_masks(p)) <= 20][::6]
+        for frame in frames:
+            for formula in self.THREE_VARIABLES:
+                assert_sweep_matches_reference(frame, formula)
+            assert max(frame._tables.lanes) == 3
+            assert all(rows is None for _, rows in frame._tables.lanes.values())
+
+    def test_past_the_lane_bound(self):
+        # 677 upsets: 677^2 exceeds the bound, so the last variable has the
+        # lanes alone and the first is looped over
+        tree = binary_tree_frame(4)
+        for formula in parsed(NON_THEOREMS):
+            assert_sweep_matches_reference(tree, formula)
+        assert set(tree._tables.lanes) == {1}
 
     @settings(deadline=None, max_examples=150)
     @given(formulas(3), st.integers(0, 39))
@@ -345,13 +394,22 @@ class TestLaneTables:
     """Each structure's sweep tables are built once, and only when a query
     that passed the valuation guard needs them."""
 
-    def test_tables_are_kept_per_frame(self, fork):
-        assert not theory_contains(fork, parse("(p -> q) | (q -> p)"))
-        tables = fork._tables
-        cones, last, rows = tables.cones, tables.last, tables.rows
-        assert rows is not None and len(rows) == len(tables.values) == 5
-        assert not theory_contains(fork, parse("~p | ~~p | q"))
-        assert tables.cones is cones and tables.last is last and tables.rows is rows
+    def test_tables_are_kept_per_frame(self):
+        frame = from_relation("abcdefg", [("a", "b"), ("a", "c")])  # 80 upsets
+        assert not theory_contains(frame, parse("(p -> q) | (q -> p)"))
+        tables = frame._tables
+        cones = tables.cones
+        ((width, (trailing, rows)),) = tables.lanes.items()
+        assert width == 2 and len(trailing) == 2 and rows is None
+        assert not theory_contains(frame, parse("~p | ~~p | q"))
+        assert not theory_contains(frame, parse("(q -> r) | p | ~p"))
+        assert tables.cones is cones and tables.lanes[2][0] is trailing
+        rows = tables.lanes[2][1]  # the three-variable query's leading rows
+        assert len(rows) == len(tables.values) == 80
+        assert not theory_contains(frame, parse("(p -> q) | (q -> r) | r"))
+        assert not theory_contains(frame, parse("(p -> q) | q"))
+        assert tables.lanes[2][0] is trailing and tables.lanes[2][1] is rows
+        assert set(tables.lanes) == {2}
 
     def test_one_variable_query_builds_no_rows(self):
         # 16 points, 65,536 upsets: rows would be 65,536 lists of 16 ints
@@ -360,17 +418,24 @@ class TestLaneTables:
         assert frame_witness(wide, parse("p")) is not None
         tables = wide._tables
         assert len(tables.values) == 1 << 16
-        assert tables.rows is None
+        ((width, (trailing, rows)),) = tables.lanes.items()
+        assert width == 1 and len(trailing) == 1 and rows is None
         with pytest.raises(CapacityError, match=r"valuation guard: 65536\^2"):
             theory_contains(wide, parse("p -> q"))
-        assert tables.rows is None
+        assert tables.lanes == {1: (trailing, None)}
+
+    def test_guard_comes_before_any_table(self):
+        frame = from_relation("abcdefg", [("a", "b")])  # 96 upsets
+        with pytest.raises(CapacityError, match=r"valuation guard: 96\^2 exceeds 9215"):
+            theory_contains(frame, parse("p -> q"), max_valuations=9215)
+        tables = frame._tables
+        assert tables.cones is None and tables.lanes == {}
 
     def test_no_variable_query_builds_no_lanes(self):
         frame = from_relation(["u0", "u1", "u2"], [("u0", "u1")])  # asked nothing else
         assert not theory_contains(frame, parse("bot"))
         assert theory_contains(frame, parse("bot -> bot"))
-        tables = frame._tables
-        assert tables.last is None and tables.rows is None
+        assert frame._tables.lanes == {}
 
 
 class TestTablesLiveOnTheStructure:
