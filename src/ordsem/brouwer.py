@@ -4,6 +4,9 @@ A Brouwer algebra is a bounded distributive lattice with an implication
 where a -> b is the least c with b <= a (+) c.  It is the order-dual of a
 Heyting algebra; logical conjunction lands on the lattice join (+) and
 disjunction on the meet (x), with 0 the designated "true" value.
+Tables are validated once, where they enter from outside, by the public
+constructor; the library's own builders gather theirs and call
+``_assemble``, whose skipped checks hold by construction.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ class BrouwerAlgebra:
     The order, 0 and 1 are read off the join table once, at construction:
     a <= b iff a (+) b = b, so ``up[a]`` masks the b with join[a][b] == b;
     0 is the element below all others and 1 the element above them.
+    Construction checks the guard, labels, tables, bounds and order
+    axioms; the Brouwer axioms are ``verify_brouwer``'s.
     """
 
     carrier: tuple[str, ...]
@@ -43,17 +48,8 @@ class BrouwerAlgebra:
                 raise InputError(f"{name} table is not total on carrier^2")
             if any(not 0 <= v < n for row in table for v in row):
                 raise InputError(f"{name} table holds an out-of-range index")
-        up = tuple(sum(1 << b for b, j in enumerate(row) if j == b) for row in self.join)
-        full = (1 << n) - 1
-        above_all = reduce(and_, up, full)  # the elements whose down-cone is full
-        if full not in up or not above_all:
-            raise InputError("join table does not define a bounded order")
-        # Poset validates the order axioms.  Set like fields, not through
-        # __dict__ as cached_property does, which would slow every later
-        # field read.
-        object.__setattr__(self, "_order", Poset(self.carrier, up))
-        object.__setattr__(self, "bottom", up.index(full))
-        object.__setattr__(self, "top", above_all.bit_length() - 1)
+        _settle(self, _up_cones(self.join))
+        self._order.__post_init__()  # the order axioms, after the bounds as before
 
     @property
     def up(self) -> tuple[int, ...]:
@@ -87,6 +83,43 @@ class BrouwerAlgebra:
         return (self._order.up[a] >> b) & 1 == 1
 
 
+def _up_cones(join: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The up-cones read off a join table: b >= a iff join[a][b] == b."""
+    return tuple(sum(1 << b for b, j in enumerate(row) if j == b) for row in join)
+
+
+def _settle(algebra: BrouwerAlgebra, up: tuple[int, ...]) -> None:
+    """Check the bounds of ``up``; set the order (unchecked), 0 and 1 like fields,
+    not through __dict__ as cached_property does, slowing later field reads."""
+    full = (1 << len(up)) - 1
+    above_all = reduce(and_, up, full)  # the elements whose down-cone is full
+    if full not in up or not above_all:
+        raise InputError("join table does not define a bounded order")
+    order = object.__new__(Poset)
+    object.__setattr__(order, "elements", algebra.carrier)
+    object.__setattr__(order, "up", up)
+    object.__setattr__(algebra, "_order", order)
+    object.__setattr__(algebra, "bottom", up.index(full))
+    object.__setattr__(algebra, "top", above_all.bit_length() - 1)
+
+
+def _assemble(carrier, join, meet, impl, up) -> BrouwerAlgebra:
+    """An algebra from tables the library gathered itself, checking only
+    what can fail, with the constructor's messages: distinct labels (upset
+    labels coincide when element labels hold commas) and the bounds (a
+    non-Brouwer algebra's restriction can lack them).  Every cell was read
+    through a position map onto the carrier, so the tables are total and
+    in range, and ``up`` is a partial order: mask inclusion, a validated
+    order restricted to the representatives, or a validated order kept."""
+    if len(set(carrier)) != len(carrier):
+        raise InputError("duplicate carrier labels")
+    out = object.__new__(BrouwerAlgebra)
+    for name, value in (("carrier", carrier), ("join", join), ("meet", meet), ("impl", impl)):
+        object.__setattr__(out, name, value)
+    _settle(out, up)
+    return out
+
+
 def upset_mask_label(poset: Poset, mask: int) -> str:
     return "{" + ",".join(poset.labels_of(mask)) + "}"
 
@@ -111,10 +144,16 @@ def upset_algebra(poset: Poset) -> BrouwerAlgebra:
     if len(masks) > MAX_CARRIER:
         raise InputError(f"carrier guard: {len(masks)} upsets > {MAX_CARRIER}")
     pos = {m: i for i, m in enumerate(masks)}
-    join = tuple(tuple(pos[mi & mj] for mj in masks) for mi in masks)
-    meet = tuple(tuple(pos[mi | mj] for mj in masks) for mi in masks)
-    impl = tuple(tuple(pos[impl_mask(poset, mi, mj)] for mj in masks) for mi in masks)
-    return BrouwerAlgebra(tuple(upset_mask_label(poset, m) for m in masks), join, meet, impl)
+    join = tuple(tuple([pos[mi & mj] for mj in masks]) for mi in masks)
+    meet = tuple(tuple([pos[mi | mj] for mj in masks]) for mi in masks)
+    implied: dict[int, int] = {}  # a & ~b -> index of a -> b, which reads only a & ~b
+    impl = []
+    for mi in masks:
+        rest = [mi & ~mj for mj in masks]
+        implied.update((d, pos[impl_mask(poset, d, 0)]) for d in set(rest).difference(implied))
+        impl.append(tuple([implied[d] for d in rest]))
+    labels = tuple(upset_mask_label(poset, m) for m in masks)
+    return _assemble(labels, join, meet, tuple(impl), _up_cones(join))
 
 
 def _certified(algebra: BrouwerAlgebra) -> bool:
@@ -214,22 +253,24 @@ def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
     return Report(checked=2 * n + 3 * n * n + 2 * n**3, violations=tuple(violations))
 
 
-def _restrict(algebra: BrouwerAlgebra, xi: int, reps: list[int], labels: list[str]) -> BrouwerAlgebra:
-    """[0, x] tabled on the ascending ``reps``: (+) and (x) restricted and
-    y ->' z = (y -> z) (x) x; the constructor reads the order, 0 (the
-    class of 0) and 1 (x) off the restricted join table.  A (+) or (x)
-    cell of two representatives that is no representative itself, which
-    a Brouwer algebra never has, raises ``InputError`` naming it."""
+def _restrict(algebra: BrouwerAlgebra, xi: int, column: list[int], reps: list[int]) -> BrouwerAlgebra:
+    """[0, x] on the ascending ``reps``, labelled ``[...]``: (+) and (x)
+    restricted, y ->' z = (y -> z) (x) x read through the class ``column``
+    y |-> y (x) x, and the order, 0 and 1 (x) read off the restricted join.
+    A (+) or (x) cell of two representatives that is no representative,
+    which a Brouwer algebra never has, raises ``InputError`` naming it."""
     pos = {r: i for i, r in enumerate(reps)}
+
+    def gather(table, cell):  # cell[table[r][s]] over the representatives r, s
+        return tuple(tuple([cell[row[s]] for s in reps]) for row in map(table.__getitem__, reps))
+
     try:
-        join = tuple(tuple(pos[algebra.join[r][s]] for s in reps) for r in reps)
-        meet = tuple(tuple(pos[algebra.meet[r][s]] for s in reps) for r in reps)
+        join, meet = gather(algebra.join, pos), gather(algebra.meet, pos)
     except KeyError:
         raise InputError(_stray_cell(algebra, xi, reps)) from None
-    impl = tuple(
-        tuple(pos[algebra.meet[algebra.impl[r][s]][xi]] for s in reps) for r in reps
-    )
-    return BrouwerAlgebra(tuple(labels), join, meet, impl)
+    impl = gather(algebra.impl, [pos[c] for c in column])
+    labels = tuple(f"[{algebra.carrier[r]}]" for r in reps)
+    return _assemble(labels, join, meet, impl, _up_cones(join))
 
 
 def _stray_cell(algebra: BrouwerAlgebra, xi: int, reps: list[int]) -> str:
@@ -250,9 +291,10 @@ def _stray_cell(algebra: BrouwerAlgebra, xi: int, reps: list[int]) -> str:
     )
 
 
-def _classes(algebra: BrouwerAlgebra, xi: int) -> list[int]:
-    """The ascending canonical representatives y (x) x of the classes."""
-    return sorted({row[xi] for row in algebra.meet})
+def _classes(algebra: BrouwerAlgebra, xi: int) -> tuple[list[int], list[int]]:
+    """The class column y |-> y (x) x and its ascending values, the classes."""
+    column = [row[xi] for row in algebra.meet]
+    return column, sorted(set(column))
 
 
 def quotient(algebra: BrouwerAlgebra, x: str) -> BrouwerAlgebra:
@@ -273,34 +315,17 @@ def quotient(algebra: BrouwerAlgebra, x: str) -> BrouwerAlgebra:
     quotient`` verifies its input first.
     """
     xi = algebra.index_of(x)
-    reps = _classes(algebra, xi)
-    return _restrict(algebra, xi, reps, [f"[{algebra.carrier[r]}]" for r in reps])
+    column, reps = _classes(algebra, xi)
+    return _restrict(algebra, xi, column, reps)
 
 
 def _relabel(algebra: BrouwerAlgebra, labels: tuple[str, ...]) -> BrouwerAlgebra:
-    """``algebra`` under other carrier labels, sharing its table objects,
-    order cones, 0 and 1.
-
-    Only the labels are checked, their count and distinctness: every other
-    check of the constructor reads the tables alone, and ``algebra``'s
-    construction has passed them on these same objects.  Theory tables
-    (``_tables``) are not carried over; a structure's answers stay its own.
-    """
+    """``algebra`` under other carrier labels, sharing its table objects
+    and order cones.  Theory tables (``_tables``) are not carried over; a
+    structure's answers stay its own."""
     if len(labels) != algebra.n:
         raise InputError(f"{len(labels)} labels for {algebra.n} carrier elements")
-    if len(set(labels)) != len(labels):
-        raise InputError("duplicate carrier labels")
-    order = object.__new__(Poset)
-    object.__setattr__(order, "elements", labels)
-    object.__setattr__(order, "up", algebra.up)
-    out = object.__new__(BrouwerAlgebra)
-    for name, value in (
-        ("carrier", labels), ("join", algebra.join), ("meet", algebra.meet),
-        ("impl", algebra.impl), ("_order", order), ("bottom", algebra.bottom),
-        ("top", algebra.top),
-    ):
-        object.__setattr__(out, name, value)
-    return out
+    return _assemble(labels, algebra.join, algebra.meet, algebra.impl, algebra.up)
 
 
 @dataclass(frozen=True)
@@ -349,9 +374,9 @@ def interval_algebra(algebra: BrouwerAlgebra, x: str) -> tuple[BrouwerAlgebra, A
     down-cone of x is refused with ``InputError``.
     """
     xi = algebra.index_of(x)
-    members = list(bits(algebra.down[xi]))
-    if _classes(algebra, xi) != members:
+    column, members = _classes(algebra, xi)
+    if members != list(bits(algebra.down[xi])):
         raise InputError(f"the classes of {x!r} are not its down-cone: (x) is not the glb")
-    quot = _restrict(algebra, xi, members, [f"[{algebra.carrier[r]}]" for r in members])
+    quot = _restrict(algebra, xi, column, members)
     interval = _relabel(quot, tuple(algebra.carrier[r] for r in members))
     return interval, AlgebraHomomorphism(interval, quot, tuple(range(quot.n)), is_isomorphism=True)

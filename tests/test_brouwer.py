@@ -8,7 +8,9 @@ import pytest
 
 from ordsem.brouwer import (
     BrouwerAlgebra,
+    _assemble,
     _relabel,
+    _up_cones,
     interval_algebra,
     quotient,
     upset_algebra,
@@ -139,6 +141,18 @@ def corrupted(algebra, rng):
     return dataclasses.replace(algebra, **{name: tuple(map(tuple, table))})
 
 
+def assert_rebuilds(algebra):
+    """An algebra the library assembled equals its rebuild through the
+    public constructor, which checks every clause: fields, order, 0 and 1."""
+    rebuilt = BrouwerAlgebra(*dataclasses.astuple(algebra))
+    assert algebra.carrier == rebuilt.carrier
+    assert (algebra.join, algebra.meet, algebra.impl) == (rebuilt.join, rebuilt.meet, rebuilt.impl)
+    assert algebra.up == rebuilt.up
+    assert (algebra.bottom, algebra.top) == (rebuilt.bottom, rebuilt.top)
+    assert algebra.order == rebuilt.order and algebra.index == rebuilt.index
+    return rebuilt
+
+
 class TestUpsetAlgebra:
     def test_single_point(self):
         algebra = upset_algebra(from_relation(["x"], []))
@@ -225,8 +239,17 @@ class TestConstructor:
     )
     def test_join_table_without_bounds(self, join):
         # the antichain {l, k} above r has no 1; the antichain {r, l} below k has no 0
+        zeros = ((0, 0, 0),) * 3
         with pytest.raises(InputError, match="join table does not define a bounded order"):
-            BrouwerAlgebra(("r", "l", "k"), join, ((0, 0, 0),) * 3, ((0, 0, 0),) * 3)
+            BrouwerAlgebra(("r", "l", "k"), join, zeros, zeros)
+        # the library's own builders skip the other clauses, never the bounds
+        with pytest.raises(InputError, match="^join table does not define a bounded order$"):
+            _assemble(("r", "l", "k"), join, zeros, zeros, _up_cones(join))
+
+    def test_upset_labels_that_coincide_are_refused(self):
+        # the upsets {a, b} and {a,b} of this antichain are both labelled "{a,b}"
+        with pytest.raises(InputError, match="duplicate carrier labels"):
+            upset_algebra(from_relation(["a", "b", "a,b"], []))
 
 
 class TestVerifyBrouwer:
@@ -413,6 +436,44 @@ class TestQuotient:
                         refused += 1
         assert refused == 17
 
+    @pytest.mark.parametrize(
+        "elements, relation, counts",
+        [
+            (["r", "l", "k"], [("r", "l"), ("r", "k")], (19, 84, 926)),
+            (["a", "b", "c", "d"], [("a", "b"), ("a", "c")], (13, 141, 1999)),
+        ],
+        ids=["fork", "four"],
+    )
+    def test_one_cell_mutations_build_what_the_constructor_builds(
+        self, elements, relation, counts
+    ):
+        # seeded one-cell changes the public constructor accepts; at every x
+        # the quotient and the interval either equal their public rebuilds
+        # or are refused with InputError
+        algebra = upset_algebra(from_relation(elements, relation))
+        rng = random.Random(17)
+        skipped = refused = built = 0
+        for _ in range(120):
+            name = rng.choice(("join", "meet", "impl"))
+            table = [list(row) for row in getattr(algebra, name)]
+            a, b = rng.randrange(algebra.n), rng.randrange(algebra.n)
+            table[a][b] = rng.choice([v for v in range(algebra.n) if v != table[a][b]])
+            try:
+                broken = dataclasses.replace(algebra, **{name: tuple(map(tuple, table))})
+            except InputError:
+                skipped += 1
+                continue
+            for x in broken.carrier:
+                for build in (quotient, lambda y, x: interval_algebra(y, x)[0]):
+                    try:
+                        factor = build(broken, x)
+                    except InputError:
+                        refused += 1
+                        continue
+                    assert_rebuilds(factor)
+                    built += 1
+        assert (skipped, refused, built) == counts
+
 
 def quotient_by_definition(algebra, x):
     """The factor by the principal filter of x, from the definition alone.
@@ -547,6 +608,7 @@ class TestIntervalDifferential:
     FORMULAS = [parse(f) for f in ("p | ~p", "~p | ~~p", "(p -> q) | (q -> p)", "~~p -> p")]
 
     def assert_same(self, algebra):
+        assert_rebuilds(algebra)
         for x in algebra.carrier:
             interval, hom = interval_algebra(algebra, x)
             old, old_quot, old_mapping = two_build_interval(algebra, x)
@@ -557,10 +619,8 @@ class TestIntervalDifferential:
             assert hom.target == old_quot and hom.source is interval
             assert hom.mapping == old_mapping == tuple(range(interval.n))
             assert hom.verify().ok
-            rebuilt = BrouwerAlgebra(*dataclasses.astuple(interval))
-            assert interval == rebuilt
-            assert (rebuilt.bottom, rebuilt.top) == (interval.bottom, interval.top)
-            assert interval.order == rebuilt.order and interval.index == rebuilt.index
+            assert_rebuilds(old_quot)
+            rebuilt = assert_rebuilds(interval)
             for f in self.FORMULAS:
                 assert theory_contains(interval, f) == theory_contains(rebuilt, f)
 
@@ -577,6 +637,10 @@ class TestIntervalDifferential:
         algebra = upset_algebra(from_relation(["a", "b", "c", "d", "e"], []))
         assert algebra.n == 32
         self.assert_same(algebra)
+
+    def test_seeded_five_element_posets_and_a_tree(self):
+        for poset in random_posets(5, 20, seed=16) + [binary_tree_frame(3)]:
+            self.assert_same(upset_algebra(poset))
 
     def test_quotients_of_three_element_algebras(self):
         for poset in generate_posets(3):

@@ -24,6 +24,7 @@ DIAMOND = from_relation(
 ALGEBRA = upset_algebra(DIAMOND)
 PMORPHISM = pmorphism_from_labels(FORK, CHAIN, {"r": "a", "l": "b", "k": "b"})
 COUNTERMODEL = ipc_check_bounded(parse("(p -> q) | (q -> p)"), 3)
+ANTICHAIN5_DUMP = json.dumps(documents.algebra_to_json(upset_algebra(from_relation("abcde", []))))
 
 # kind -> (value, writer, reader, what the reader gives back for the value)
 KINDS = {
@@ -216,6 +217,26 @@ class TestExitContract:
         code, err = run(["split", "verify", "--depth", str(depth), "--seed", str(seed)])
         assert code in (0, 1, 2), err
         assert "internal error" not in err
+
+    # One-cell changes of a 32-element dump, past the 5-element carriers the
+    # readers' documents reach: verify lists an O(n^3) report, and quotient
+    # verifies before it factors.
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_cell_of_a_larger_dump(self, data, tmp_path_factory):
+        doc = json.loads(ANTICHAIN5_DUMP)
+        n = len(doc["carrier"])
+        table = doc[data.draw(st.sampled_from(["join", "meet", "impl"]))]
+        table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = data.draw(
+            st.integers(-1, n)
+        )
+        path = tmp_path_factory.getbasetemp() / "antichain5.json"
+        path.write_text(json.dumps(doc))
+        x = data.draw(st.sampled_from(doc["carrier"]))
+        for argv in (["algebra", "verify", str(path)], ["algebra", "quotient", str(path), "-x", x]):
+            code, err = run(argv)
+            assert code in (0, 1, 2), err
+            assert "internal error" not in err
 
     @settings(max_examples=60, deadline=None)
     @given(formula=FORMULAS, command=st.sampled_from(["check", "theory", "ipc"]))
