@@ -11,14 +11,16 @@ constructor; the library's own builders gather theirs and call
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
 from .errors import InputError, Report
-from .order import Poset, bits, upset_masks
+from .order import Poset, bits, upper_covers, upset_masks
 
 MAX_CARRIER = 1 << 10  # keeps the three n*n tables within ~2^20 entries
+_QUOTED = frozenset(',{}"\\')  # an upset label quotes a member holding one
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,12 @@ def _settle(algebra: BrouwerAlgebra, up: tuple[int, ...]) -> None:
 
 def _assemble(carrier, join, meet, impl, up) -> BrouwerAlgebra:
     """An algebra from tables the library gathered itself, checking only
-    what can fail, with the constructor's messages: distinct labels (upset
-    labels coincide when element labels hold commas) and the bounds (a
-    non-Brouwer algebra's restriction can lack them).  Every cell was read
-    through a position map onto the carrier, so the tables are total and
-    in range, and ``up`` is a partial order: mask inclusion, a validated
-    order restricted to the representatives, or a validated order kept."""
+    what can fail, with the constructor's messages: distinct labels (a
+    relabelling takes them from its caller) and the bounds (a non-Brouwer
+    algebra's restriction can lack them).  Every cell was read through a
+    position map onto the carrier, so the tables are total and in range,
+    and ``up`` is a partial order: mask inclusion, a validated order
+    restricted to the representatives, or a validated order kept."""
     if len(set(carrier)) != len(carrier):
         raise InputError("duplicate carrier labels")
     out = object.__new__(BrouwerAlgebra)
@@ -118,10 +120,6 @@ def _assemble(carrier, join, meet, impl, up) -> BrouwerAlgebra:
         object.__setattr__(out, name, value)
     _settle(out, up)
     return out
-
-
-def upset_mask_label(poset: Poset, mask: int) -> str:
-    return "{" + ",".join(poset.labels_of(mask)) + "}"
 
 
 def impl_mask(poset: Poset, a: int, b: int) -> int:
@@ -138,7 +136,10 @@ def upset_algebra(poset: Poset) -> BrouwerAlgebra:
 
     0 is the whole space and 1 the empty set; (+) is intersection, (x) is
     union.  Carrier order follows the canonical mask order of
-    ``upset_masks``, so the empty upset is always index 0.
+    ``upset_masks``, so the empty upset is always index 0.  An upset is
+    labelled ``{a,b}`` by its members, a member written as a JSON string
+    when its label holds one of ``,{}"\\``, so distinct upsets have
+    distinct labels.
     """
     masks = upset_masks(poset)
     if len(masks) > MAX_CARRIER:
@@ -152,7 +153,8 @@ def upset_algebra(poset: Poset) -> BrouwerAlgebra:
         rest = [mi & ~mj for mj in masks]
         implied.update((d, pos[impl_mask(poset, d, 0)]) for d in set(rest).difference(implied))
         impl.append(tuple([implied[d] for d in rest]))
-    labels = tuple(upset_mask_label(poset, m) for m in masks)
+    members = [json.dumps(e) if not _QUOTED.isdisjoint(e) else e for e in poset.elements]
+    labels = tuple("{" + ",".join([members[i] for i in bits(m)]) + "}" for m in masks)
     return _assemble(labels, join, meet, tuple(impl), _up_cones(join))
 
 
@@ -162,25 +164,19 @@ def _certified(algebra: BrouwerAlgebra) -> bool:
     Sound only once ``join`` and ``meet`` are known to be the lub and glb
     of the order.  If a -> . is left adjoint to a (+) . for every a, then
     a (+) . is a right adjoint and preserves (x), so the lattice is
-    distributive.  The adjunction walks the lower covers, at most
+    distributive.  The adjunction walks the cover pairs, at most
     n log2 n / 2 of them in a distributive lattice (its covers are
     hypercube edges), so a Brouwer algebra is certified in O(n^2 log n).
     A false answer only means that the O(n^3) clauses must run to list
     what fails.
     """
-    n = algebra.n
-    up, down, join, impl = algebra.up, algebra.down, algebra.join, algebra.impl
-    covers = []  # covers[x]: the lower covers of x
-    for x in range(n):
-        below = down[x] & ~(1 << x)
-        covers.append([y for y in bits(below) if up[y] & below == 1 << y])
-
+    up, join, impl = algebra.up, algebra.join, algebra.impl
     # a -> b is the least c with b <= a (+) c for all b iff a -> . is left
     # adjoint to the monotone a (+) . : the unit b <= a (+) (a -> b), the
     # counit a -> (a (+) b) <= b, and a -> . monotone, which it is iff it
-    # is monotone along every lower cover.
-    edges = [(y, x) for x in range(n) for y in covers[x]]
-    for a in range(n):
+    # is monotone along every cover y < x.
+    edges = upper_covers(algebra.order)
+    for a in range(algebra.n):
         ja, ia = join[a], impl[a]
         if not (
             all(up[b] >> ja[c] & 1 for b, c in enumerate(ia))

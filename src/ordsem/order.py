@@ -90,13 +90,7 @@ class Poset:
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         """Edges of the Hasse diagram (transitive reduction), a < b pairs."""
-        out = []
-        for i in range(self.n):
-            for j in bits(self.up[i] & ~(1 << i)):
-                between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        return [(self.elements[x], self.elements[y]) for x, y in sorted(upper_covers(self))]
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -104,6 +98,24 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def upper_covers(poset: Poset) -> list[tuple[int, int]]:
+    """The pairs (x, y) with y an upper cover of x, each point's after those
+    of the points above it: a strict successor has the smaller up-cone."""
+    up = poset.up
+    out = []
+    for x in sorted(range(poset.n), key=lambda x: up[x].bit_count()):
+        least = rest = up[x] & ~(1 << x)
+        while rest:  # drop what lies above each candidate left, lowest first
+            low = rest & -rest
+            least &= ~up[low.bit_length() - 1] | low
+            rest = least & -(low << 1)
+        while least:
+            low = least & -least
+            out.append((x, low.bit_length() - 1))
+            least ^= low
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,15 @@ formula is compiled once, its program is the only form evaluated, and
 it is stored on the formula's (interned) node, so it lives exactly as
 long as the formula.
 
-A theory query runs trailing variables' values side by side in lanes.  A
-frame sweep holds one bit per lane at every point, and a lane is one
-choice of upsets for as many trailing variables as keep the lane count
-within ``_MAX_LANES``: every two-variable query on a frame of at most 90
-upsets is one sweep.  An algebra fold holds one carrier index per lane,
-one lane per value of the last variable, and a step that does not read
-it runs once for all lanes.  One sweep or fold runs per choice of the
-remaining leading variables.  Each structure keeps its sweep tables and
-its answers on itself, so they last as long as the structure.
+A theory query sweeps a frame: an algebra's is its dual frame M, since a
+finite Brouwer algebra is the algebra of upsets of its meet-irreducibles
+(Birkhoff; Esakia).  A sweep holds one bit per lane at every point, and
+a lane is one choice of upsets for as many trailing variables as keep
+the lane count within ``_MAX_LANES``: every two-variable query on a
+structure of at most 90 values is one sweep, run per choice of the
+remaining leading variables.  Implication reads each point's upper
+covers, so a tall dual, a chain algebra's, stays linear.  Each structure
+keeps its sweep tables and answers on itself, as long as it lives.
 
 Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
@@ -27,14 +27,17 @@ level up the tree, under the caller's valuation budget.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import and_
 from typing import Mapping, Union
 
 from .brouwer import BrouwerAlgebra
 from .errors import CapacityError, InputError, InvariantViolation, ValuationError
 from .formulas import BOT, And, Formula, Imp, Or, Var, free_vars
-from .order import Poset, Upset, bits, upset_masks
+from .order import Poset, Upset, upper_covers, upset_masks
 
 MAX_VALUATIONS = 2_000_000
 MAX_TREE_HEIGHT = 10  # 2^{<10} has 1023 nodes
@@ -104,11 +107,11 @@ def _run(steps: tuple, root: int, slots: list[int], tables: tuple) -> int:
 
 
 def _sweep(
-    cones: list[list[int]], steps: tuple, root: int, slots: list[list[int]], ones: int
+    covers: list[tuple[int, int]], steps: tuple, root: int, slots: list[list[int]], ones: int
 ) -> list[int]:
     """Run a program on a frame over many valuations at once.
 
-    ``cones`` lists each point's up-cone.  A slot holds one int per point,
+    ``covers`` is ``upper_covers(frame)``.  A slot holds one int per point,
     whose bit c says whether the point forces the slot under the c-th
     valuation, of the ``ones`` lanes.  The variable and falsum slots are
     given; the root slot is returned.
@@ -119,20 +122,41 @@ def _sweep(
             slots.append([x & y for x, y in zip(left, right)])
         elif op == _OR:
             slots.append([x | y for x, y in zip(left, right)])
-        else:  # forced where every point above that forces the left forces the right
-            holds = [~x | y for x, y in zip(left, right)]
-            out = []
-            for cone in cones:
-                lanes = ones
-                for y in cone:
-                    lanes &= holds[y]
-                out.append(lanes)
-            slots.append(out)
+        else:  # forced where the left fails or the right holds, and at each upper cover
+            holds = [ones ^ x | y for x, y in zip(left, right)]
+            for x, y in covers:  # y is done before x
+                holds[x] &= holds[y]
+            slots.append(holds)
     return slots[root]
 
 
-def _cones(frame: Poset) -> list[list[int]]:
-    return [list(bits(cone)) for cone in frame.up]
+def _dual(algebra: BrouwerAlgebra) -> tuple[Poset, tuple[int, ...]]:
+    """The dual frame M of the algebra's order, and each element's upset.
+
+    M is the elements with exactly one upper cover, in carrier order and
+    ordered as in the algebra; a stands for {m in M : a <= m}, so 0 for M
+    and 1 for the empty upset.  The order is a distributive lattice, or
+    else ``InputError``, exactly when a |-> upset is an order-reversing
+    bijection onto Up(M): the n upsets are distinct, and closed under
+    union with each principal upset, which builds every upset from the
+    empty one, and that union is the upset of an element below.  An
+    8-element order that is no lattice passes all but the last check.
+    """
+    up = algebra.up
+    covers = upper_covers(algebra.order)
+    points = sorted(m for m, count in Counter(x for x, _ in covers).items() if count == 1)
+    values = [0] * algebra.n
+    for i, m in enumerate(points):
+        values[m] = 1 << i
+    for a, c in covers:  # a's upset holds its covers' upsets
+        values[a] |= values[c]
+    cones = tuple(values[m] for m in points)
+    element = {v: a for a, v in enumerate(values)}
+    if len(element) != algebra.n or not all(
+        v | c in element and up[element[v | c]] >> a & 1 for v, a in element.items() for c in cones
+    ):
+        raise InputError("the order of the join table is not a distributive lattice")
+    return Poset(tuple(algebra.carrier[m] for m in points), cones), tuple(values)
 
 
 def _evaluate(algebra: BrouwerAlgebra, f: Formula, env: Mapping[str, int]) -> int:
@@ -162,7 +186,7 @@ def forced_upset(frame: Poset, valuation: Mapping[str, Upset], f: Formula) -> Up
     names, steps, root = _compile(f)
     points = range(frame.n)
     slots = [[mask >> x & 1 for x in points] for mask in _values(names, env)]
-    forced = _sweep(_cones(frame), steps, root, [*slots, [0] * frame.n], 1)
+    forced = _sweep(upper_covers(frame), steps, root, [*slots, [0] * frame.n], 1)
     return Upset(frame, sum(bit << x for x, bit in zip(points, forced)))
 
 
@@ -173,70 +197,33 @@ def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula)
 
 
 class _Tables:
-    """One structure's valuation values and answers, plus the frame
-    sweep's tables: the points' up-cones and its ``lanes``.  The structure
-    holds them as ``_tables``, set by its first query.  Each table is built
-    by the first query that needs it, once that query has passed the
-    valuation guard.
+    """One structure's sweep tables and answers, held as its ``_tables``.
 
-    ``lanes`` maps a lane width d to (trailing, rows).  ``trailing`` holds
-    the slots of the last d variables, most significant first: bit c of
-    ``trailing[j][x]`` says whether point x lies in the upset that lane c
-    gives the j-th of them.  ``rows[i]`` is the slot of a leading variable
-    valued by the i-th upset, the same in every lane; it is None until a
-    query with a leading variable asks for it.
+    ``frame`` is an algebra's dual frame, or None for a frame, which is
+    swept itself (holding it would be a reference cycle).  ``values`` lists
+    the upsets a variable ranges over in canonical order: ascending masks,
+    or the algebra's elements' upsets by carrier index.  The first query
+    that needs a table and passed the valuation guard builds it: ``covers``
+    (``upper_covers`` of the frame), and ``lanes``, which maps a lane width
+    d to (trailing, rows).  ``trailing`` holds the last d variables' slots,
+    most significant first: bit c of ``trailing[j][x]`` says whether point
+    x lies in the upset lane c gives the j-th of them.  ``rows[i]`` is the
+    slot of a leading variable valued by the i-th upset, in every lane;
+    it is None until a query with a leading variable asks for it.
 
     ``answers`` maps each formula asked to its first refuting choice of
-    values, or None.  It keys on the formula's node, so a formula asked
-    of a structure stays interned as long as the structure's tables.
+    value indices, or None.  It keys on the formula's node, so a formula
+    asked of a structure stays interned as long as the structure's tables.
     """
 
-    __slots__ = ("values", "answers", "cones", "lanes")
+    __slots__ = ("frame", "values", "answers", "covers", "lanes")
 
-    def __init__(self, values: tuple[int, ...] | range):
+    def __init__(self, frame: Poset | None, values: tuple[int, ...]):
+        self.frame = frame
         self.values = values
         self.answers: dict[Formula, tuple[int, ...] | None] = {}
-        self.cones: list[list[int]] | None = None
+        self.covers: list[tuple[int, int]] | None = None
         self.lanes: dict[int, tuple[list[list[int]], list[list[int]] | None]] = {}
-
-
-def _algebra_refutation(
-    algebra: BrouwerAlgebra, tables: _Tables, program: tuple
-) -> tuple[int, ...] | None:
-    """One fold per choice of the leading variables, the last one's values
-    side by side: a slot that reads it holds one carrier index per lane,
-    and a step that does not read it runs once for all the lanes."""
-    names, steps, root = program
-    ops = (algebra.join, algebra.meet, algebra.impl)
-    bottom, top = algebra.bottom, algebra.top
-    if not names:
-        return None if _run(steps, root, [top], ops) == bottom else ()
-    lanes = tables.values
-    # which operands of each step vary with the lane: 0 neither, 1 the
-    # right, 2 the left, 3 both
-    varies = [False] * (len(names) - 1) + [True, False]
-    plan = []
-    for op, a, b in steps:
-        kind = varies[a] << 1 | varies[b]
-        varies.append(kind != 0)
-        plan.append((ops[op], a, b, kind))
-    for lead in product(lanes, repeat=len(names) - 1):
-        slots = [*lead, lanes, top]
-        for table, a, b, kind in plan:
-            x, y = slots[a], slots[b]
-            if kind == 0:
-                slots.append(table[x][y])
-            elif kind == 1:
-                row = table[x]
-                slots.append([row[v] for v in y])
-            elif kind == 2:
-                slots.append([table[u][y] for u in x])
-            else:
-                slots.append([table[u][v] for u, v in zip(x, y)])
-        out = slots[root]
-        if out.count(bottom) != len(out):
-            return (*lead, next(c for c, v in enumerate(out) if v != bottom))
-    return None
 
 
 def _lane_width(count: int, variables: int) -> int:
@@ -267,16 +254,16 @@ def _trailing_slots(frame: Poset, masks: tuple[int, ...], width: int) -> list[li
 
 
 def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[int, ...] | None:
-    """One sweep per choice of the leading variables, the trailing ones'
-    upsets side by side in the lanes.  Lane order is canonical order, so
-    the lowest refuted lane of the first refuted sweep is the first
-    refutation."""
+    """The first refuting choice of value indices, or None.  One sweep per
+    choice of the leading variables, the trailing ones' upsets side by side
+    in the lanes.  Lane order is canonical order, so the lowest refuted
+    lane of the first refuted sweep is the first refutation."""
     names, steps, root = program
-    if tables.cones is None:
-        tables.cones = _cones(frame)
-    cones, falsum = tables.cones, [0] * frame.n
+    if tables.covers is None:
+        tables.covers = upper_covers(frame)
+    covers, falsum = tables.covers, [0] * frame.n
     if not names:
-        forced = _sweep(cones, steps, root, [falsum], 1)
+        forced = _sweep(covers, steps, root, [falsum], 1)
         return None if all(forced) else ()
     masks = tables.values
     count = len(masks)
@@ -290,15 +277,11 @@ def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[in
         rows = [[ones if mask >> x & 1 else 0 for x in range(frame.n)] for mask in masks]
     tables.lanes[width] = trailing, rows
     for lead in product(range(count), repeat=leading):
-        refuted = 0
         slots = [*[rows[i] for i in lead], *trailing, falsum]
-        for lanes in _sweep(cones, steps, root, slots, ones):
-            refuted |= ~lanes
-        refuted &= ones
+        refuted = ones ^ reduce(and_, _sweep(covers, steps, root, slots, ones), ones)
         if refuted:
             lane = (refuted & -refuted).bit_length() - 1
-            digits = [lane // count ** (width - 1 - j) % count for j in range(width)]
-            return tuple(masks[i] for i in (*lead, *digits))
+            return (*lead, *[lane // count ** (width - 1 - j) % count for j in range(width)])
     return None
 
 
@@ -309,11 +292,10 @@ def _first_refutation(
 
     Canonical order is the product, over the sorted variable names, of the
     carrier indices (algebra) or the ascending upset masks (frame).  Both
-    modes run trailing variables' values side by side in lanes, in
-    canonical order: the first refutation is the lowest refuted lane of
-    the first choice of the leading variables that has one.  A
-    structure's values are cached with its answers, so the guard holds
-    for cached answers too.
+    are swept by ``_frame_refutation``, an algebra on its dual frame with
+    the upsets in carrier order, so it reads only the join table's order;
+    ``verify_brouwer`` checks that ``meet`` and ``impl`` fit it.  Values
+    are cached with the answers, so the guard holds for cached ones too.
     """
     if not isinstance(structure, (BrouwerAlgebra, Poset)):
         raise InputError(f"cannot compute a theory over {type(structure).__name__}")
@@ -321,25 +303,30 @@ def _first_refutation(
     names = program[0]
     tables = getattr(structure, "_tables", None)
     if tables is None:
-        values = upset_masks(structure) if isinstance(structure, Poset) else range(structure.n)
-        tables = _Tables(values)
+        built = (None, upset_masks(structure)) if isinstance(structure, Poset) else _dual(structure)
+        tables = _Tables(*built)
         object.__setattr__(structure, "_tables", tables)  # lives as long as the structure
     if len(tables.values) ** len(names) > max_valuations:
         raise CapacityError(
             f"valuation guard: {len(tables.values)}^{len(names)} exceeds {max_valuations}"
         )
     if f not in tables.answers:
-        search = _frame_refutation if isinstance(structure, Poset) else _algebra_refutation
-        tables.answers[f] = search(structure, tables, program)
+        frame = structure if tables.frame is None else tables.frame
+        tables.answers[f] = _frame_refutation(frame, tables, program)
     found = tables.answers[f]
+    if found is not None and tables.frame is None:  # a frame answers with masks
+        found = [tables.values[i] for i in found]
     return None if found is None else dict(zip(names, found))
 
 
 def theory_contains(structure: Structure, f: Formula, *, max_valuations: int = MAX_VALUATIONS) -> bool:
     """Whether f holds under every valuation into the structure.
 
-    Algebra mode evaluates through the tables; frame mode quantifies over
-    upset valuations and demands forcing at every point.
+    Frame mode quantifies over upset valuations and demands forcing at
+    every point.  Algebra mode reads only the order of the join table,
+    which must be a distributive lattice (else ``InputError``): it is
+    swept as a frame, and ``verify_brouwer`` checks the ``meet`` and
+    ``impl`` tables, as the command line does before a query on a dump.
     """
     return _first_refutation(structure, f, max_valuations) is None
 

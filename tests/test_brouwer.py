@@ -246,10 +246,17 @@ class TestConstructor:
         with pytest.raises(InputError, match="^join table does not define a bounded order$"):
             _assemble(("r", "l", "k"), join, zeros, zeros, _up_cones(join))
 
-    def test_upset_labels_that_coincide_are_refused(self):
-        # the upsets {a, b} and {a,b} of this antichain are both labelled "{a,b}"
-        with pytest.raises(InputError, match="duplicate carrier labels"):
-            upset_algebra(from_relation(["a", "b", "a,b"], []))
+    def test_upset_labels_quote_members_with_commas(self):
+        # unquoted, the upsets {a, b} and {a,b} of this antichain would both
+        # read "{a,b}"; a member is quoted only when its label holds ,{}"\
+        algebra = upset_algebra(from_relation(["a", "b", "a,b"], []))
+        assert algebra.carrier == (
+            "{}", "{a}", "{b}", "{a,b}", '{"a,b"}', '{a,"a,b"}', '{b,"a,b"}', '{a,b,"a,b"}',
+        )
+        assert verify_brouwer(algebra).ok
+        odd = upset_algebra(from_relation(["x{", 'q"', "b\\", "é", "0"], []))
+        assert odd.carrier[1:5] == ('{"x{"}', '{"q\\""}', '{"x{","q\\""}', '{"b\\\\"}')
+        assert odd.carrier[8] == "{é}" and odd.carrier[16] == "{0}"
 
 
 class TestVerifyBrouwer:

@@ -60,6 +60,12 @@ class TestAlgebra:
         data = json.loads(capsys.readouterr().out)
         assert {"carrier", "join", "meet", "impl"} <= set(data)
 
+    def test_verify_labels_with_commas(self, tmp_path):
+        # the upsets {a, b} and {"a,b"} have distinct labels
+        path = tmp_path / "commas.json"
+        path.write_text(json.dumps({"elements": ["a", "b", "a,b"], "leq": []}))
+        assert main(["algebra", "verify", str(path)]) == 0
+
     def test_verify_loaded_dump(self, fork_path, tmp_path, capsys):
         main(["algebra", "quotient", fork_path, "-x", "{l}"])
         dump = tmp_path / "alg.json"

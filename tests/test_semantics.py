@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsem import semantics
-from ordsem.brouwer import impl_mask, quotient, upset_algebra
+from ordsem.brouwer import (
+    BrouwerAlgebra,
+    impl_mask,
+    interval_algebra,
+    quotient,
+    upset_algebra,
+    verify_brouwer,
+)
 from ordsem.corpus import (
     BOUNDED_REFUTED,
     BOUNDED_VALID,
@@ -29,7 +36,9 @@ from ordsem.corpus import (
 from ordsem.errors import CapacityError, InputError, ValuationError
 from ordsem.formulas import And, Bot, Or, Var, free_vars, parse
 from ordsem.order import (
+    Poset,
     Upset,
+    bits,
     enumerate_upsets,
     from_relation,
     generate_posets,
@@ -111,6 +120,52 @@ def reference_algebra_refutation(algebra, formula):
 def assert_lanes_match_reference(algebra, formula):
     found = semantics._first_refutation(algebra, formula, semantics.MAX_VALUATIONS)
     assert found == reference_algebra_refutation(algebra, formula), (algebra.carrier, formula)
+
+
+def order_algebra(labels, pairs):
+    """An algebra through the public constructor on the bounded order the
+    relation generates, the first label its 0 and the last its 1: (+) the
+    lub where there is one and 1 elsewhere, (x) the glb or 0, -> 0."""
+    order = from_relation(labels, pairs)
+    cells = range(order.n)
+
+    def bound(cones, a, b, default):
+        common = cones[a] & cones[b]
+        return cones.index(common) if common in cones else default
+
+    join = tuple(tuple(bound(order.up, a, b, order.n - 1) for b in cells) for a in cells)
+    meet = tuple(tuple(bound(order.down, a, b, 0) for b in cells) for a in cells)
+    return BrouwerAlgebra(order.elements, join, meet, ((0,) * order.n,) * order.n)
+
+
+def chain_algebra(n):
+    """The Brouwer algebra on the chain c0 < ... < c{n-1}."""
+    cells = range(n)
+    join = tuple(tuple(max(a, b) for b in cells) for a in cells)
+    meet = tuple(tuple(min(a, b) for b in cells) for a in cells)
+    impl = tuple(tuple(0 if b <= a else b for b in cells) for a in cells)
+    return BrouwerAlgebra(tuple(f"c{i}" for i in cells), join, meet, impl)
+
+
+def subframe(frame, keep):
+    """The subposet of the frame on the points of the mask ``keep``."""
+    points = list(bits(keep))
+    pos = {x: i for i, x in enumerate(points)}
+    cones = (sum(1 << pos[y] for y in bits(frame.up[x] & keep)) for x in points)
+    return Poset(tuple(frame.elements[x] for x in points), tuple(cones))
+
+
+def assert_dual_is_subframe(algebra, frame, x=0):
+    """The dual frame of ``algebra``, which is [0, X] of Up(frame) for the
+    upset mask x, is the subposet of the frame off X: its point y stands
+    as the element X | up(y), under that element's label in Up(frame)."""
+    labels = dict(zip(upset_masks(frame), upset_algebra(frame).carrier))
+    dual, _ = semantics._dual(algebra)
+    rest = list(bits(frame.full_mask & ~x))
+    point = {y: dual.index_of(labels[x | frame.up[y]]) for y in rest}
+    assert dual.n == len(set(point.values())) == len(rest)
+    for y in rest:
+        assert dual.up[point[y]] == sum(1 << point[z] for z in bits(frame.up[y] & ~x))
 
 
 def pointwise_forces(frame, x, env, f):
@@ -364,8 +419,14 @@ class TestFrameSweepDifferential:
         assert_sweep_matches_reference(self.FRAMES[index], formula)
 
 
+@pytest.fixture(scope="module")
+def tree4_algebra():
+    return upset_algebra(binary_tree_frame(4))  # 677 elements, a 15-point dual
+
+
 class TestAlgebraLaneDifferential:
-    """The lane fold finds the refutation the one-valuation fold did."""
+    """The sweep of an algebra's dual frame finds the refutation the
+    one-valuation fold did."""
 
     CORPUS = parsed(MIXED_CORPUS)
     ALGEBRAS = [upset_algebra(p) for n in (1, 2, 3, 4) for p in generate_posets(n)]
@@ -389,6 +450,96 @@ class TestAlgebraLaneDifferential:
             for formula in self.CORPUS:
                 assert_lanes_match_reference(factor, formula)
 
+    def test_a_tall_chain(self):
+        # the dual is a chain of 39 points, the case the upper covers are for
+        chain = chain_algebra(40)
+        assert verify_brouwer(chain).ok
+        assert semantics._dual(chain)[0].n == 39
+        for formula in self.CORPUS:
+            assert_lanes_match_reference(chain, formula)
+
+    def test_the_algebra_of_the_tree_of_height_four(self, tree4_algebra):
+        for formula in self.CORPUS:
+            if len(free_vars(formula)) <= 1:
+                assert_lanes_match_reference(tree4_algebra, formula)
+
+    def test_the_tree_of_height_four_and_its_algebra_agree(self, tree4_algebra):
+        tree = binary_tree_frame(4)
+        two_variables = [t for t in IPC_THEOREMS if len(free_vars(parse(t))) == 2]
+        for formula in parsed(NON_THEOREMS + tuple(two_variables)):
+            assert theory_contains(tree4_algebra, formula) == theory_contains(tree, formula)
+
+
+class TestDualFrame:
+    """An algebra is swept on the frame of its meet-irreducibles, which the
+    order of its join table must make a distributive lattice."""
+
+    def test_an_upset_algebra_has_its_frame_as_dual(self):
+        for poset in (p for n in (1, 2, 3, 4) for p in generate_posets(n)):
+            assert_dual_is_subframe(upset_algebra(poset), poset)
+
+    @pytest.mark.parametrize(
+        "labels, pairs",
+        [
+            ("0abc1", [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]),
+            ("0abc1", [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]),
+            # no lattice: 0, a and b all stand for the upset {c, d}
+            ("0abcd1", [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+                        ("c", "1"), ("d", "1")]),
+        ],
+        ids=["N5", "M3", "bowtie"],
+    )
+    def test_a_non_distributive_order_is_refused(self, labels, pairs):
+        algebra = order_algebra(list(labels), pairs)
+        with pytest.raises(InputError, match="not a distributive lattice"):
+            theory_contains(algebra, parse("p -> p"))
+        with pytest.raises(InputError, match="not a distributive lattice"):
+            theory_contains(algebra, parse("bot -> bot"))
+
+    def test_a_non_lattice_with_the_right_upset_count_is_refused(self):
+        # a and c have the upper bounds e, f, 1 and no least one; yet the
+        # elements with one upper cover, b < d < f and e, have 8 upsets, and
+        # the elements' upsets are all of them: only the order check fails
+        algebra = order_algebra(
+            ["0", "a", "b", "c", "d", "e", "f", "1"],
+            [("0", "a"), ("0", "b"), ("0", "c"), ("a", "e"), ("a", "f"), ("b", "d"),
+             ("c", "d"), ("c", "e"), ("d", "f"), ("e", "1"), ("f", "1")],
+        )
+        assert algebra.up[1] == 0b11100010  # a <= e, f, 1
+        with pytest.raises(InputError, match="not a distributive lattice"):
+            theory_contains(algebra, parse("p -> p"))
+
+    def test_a_distributive_lattice_is_accepted(self):
+        # 0 < m < a, b < 1 built the same way: Up of the fork 0 < a, 0 < b
+        algebra = order_algebra(
+            ["0", "m", "a", "b", "1"], [("0", "m"), ("m", "a"), ("m", "b"), ("a", "1"), ("b", "1")]
+        )
+        dual, values = semantics._dual(algebra)
+        assert dual.elements == ("0", "a", "b") and dual.up == (0b111, 0b010, 0b100)
+        assert values == (0b111, 0b110, 0b010, 0b100, 0)
+        assert theory_contains(algebra, parse("(p -> q) | (q -> p)")) is False
+
+
+class TestFactorsAsSubframes:
+    """For an upset X of a frame F, the interval [0, X] of Up(F) is
+    Up(F - X) through U |-> U - X: the paper's factor by X, read on the
+    frame side, is the downset F - X."""
+
+    CORPUS = parsed(MIXED_CORPUS)
+    FRAMES = [p for n in (1, 2, 3) for p in generate_posets(n)]
+    FRAMES += random.Random(4).sample(list(generate_posets(4)), 100)
+
+    def test_every_interval_is_the_upset_algebra_of_a_downset(self):
+        for frame in self.FRAMES:
+            algebra = upset_algebra(frame)
+            for x, label in zip(upset_masks(frame), algebra.carrier):
+                interval, _ = interval_algebra(algebra, label)
+                rest = subframe(frame, frame.full_mask & ~x)
+                assert interval.n == len(upset_masks(rest))
+                for formula in self.CORPUS:
+                    assert theory_contains(interval, formula) == theory_contains(rest, formula)
+                assert_dual_is_subframe(interval, frame, x)
+
 
 class TestLaneTables:
     """Each structure's sweep tables are built once, and only when a query
@@ -398,12 +549,12 @@ class TestLaneTables:
         frame = from_relation("abcdefg", [("a", "b"), ("a", "c")])  # 80 upsets
         assert not theory_contains(frame, parse("(p -> q) | (q -> p)"))
         tables = frame._tables
-        cones = tables.cones
+        covers = tables.covers
         ((width, (trailing, rows)),) = tables.lanes.items()
         assert width == 2 and len(trailing) == 2 and rows is None
         assert not theory_contains(frame, parse("~p | ~~p | q"))
         assert not theory_contains(frame, parse("(q -> r) | p | ~p"))
-        assert tables.cones is cones and tables.lanes[2][0] is trailing
+        assert tables.covers is covers and tables.lanes[2][0] is trailing
         rows = tables.lanes[2][1]  # the three-variable query's leading rows
         assert len(rows) == len(tables.values) == 80
         assert not theory_contains(frame, parse("(p -> q) | (q -> r) | r"))
@@ -429,7 +580,7 @@ class TestLaneTables:
         with pytest.raises(CapacityError, match=r"valuation guard: 96\^2 exceeds 9215"):
             theory_contains(frame, parse("p -> q"), max_valuations=9215)
         tables = frame._tables
-        assert tables.cones is None and tables.lanes == {}
+        assert tables.covers is None and tables.lanes == {}
 
     def test_no_variable_query_builds_no_lanes(self):
         frame = from_relation(["u0", "u1", "u2"], [("u0", "u1")])  # asked nothing else
