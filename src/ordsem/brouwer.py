@@ -12,9 +12,11 @@ constructor; the library's own builders gather theirs and call
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
+from typing import Iterable
 
 from .errors import InputError, Report
 from .order import Poset, bits, upper_covers, upset_masks
@@ -136,10 +138,8 @@ def upset_algebra(poset: Poset) -> BrouwerAlgebra:
 
     0 is the whole space and 1 the empty set; (+) is intersection, (x) is
     union.  Carrier order follows the canonical mask order of
-    ``upset_masks``, so the empty upset is always index 0.  An upset is
-    labelled ``{a,b}`` by its members, a member written as a JSON string
-    when its label holds one of ``,{}"\\``, so distinct upsets have
-    distinct labels.
+    ``upset_masks``, so the empty upset is always index 0.  Upsets are
+    labelled by ``upset_labels``.
     """
     masks = upset_masks(poset)
     if len(masks) > MAX_CARRIER:
@@ -153,38 +153,71 @@ def upset_algebra(poset: Poset) -> BrouwerAlgebra:
         rest = [mi & ~mj for mj in masks]
         implied.update((d, pos[impl_mask(poset, d, 0)]) for d in set(rest).difference(implied))
         impl.append(tuple([implied[d] for d in rest]))
+    return _assemble(upset_labels(poset, masks), join, meet, tuple(impl), _up_cones(join))
+
+
+def upset_labels(poset: Poset, masks: Iterable[int]) -> tuple[str, ...]:
+    """Each upset's label ``{a,b}``: its members in element order, a member
+    written as a JSON string when its label holds one of ``,{}"\\``, so
+    distinct upsets have distinct labels."""
     members = [json.dumps(e) if not _QUOTED.isdisjoint(e) else e for e in poset.elements]
-    labels = tuple("{" + ",".join([members[i] for i in bits(m)]) + "}" for m in masks)
-    return _assemble(labels, join, meet, tuple(impl), _up_cones(join))
+    return tuple("{" + ",".join([members[i] for i in bits(m)]) + "}" for m in masks)
 
 
-def _certified(algebra: BrouwerAlgebra) -> bool:
-    """Residuation, and with it distributivity, decided by the adjunction.
+def _dual(algebra: BrouwerAlgebra) -> tuple[Poset, tuple[int, ...]]:
+    """The dual frame M of the algebra's order, and each element's upset.
 
-    Sound only once ``join`` and ``meet`` are known to be the lub and glb
-    of the order.  If a -> . is left adjoint to a (+) . for every a, then
-    a (+) . is a right adjoint and preserves (x), so the lattice is
-    distributive.  The adjunction walks the cover pairs, at most
-    n log2 n / 2 of them in a distributive lattice (its covers are
-    hypercube edges), so a Brouwer algebra is certified in O(n^2 log n).
-    A false answer only means that the O(n^3) clauses must run to list
-    what fails.
+    M is the elements with exactly one upper cover, in carrier order and
+    ordered as in the algebra; a stands for {m in M : a <= m}, so 0 for M
+    and 1 for the empty upset.  The order is a distributive lattice, or
+    else ``InputError``, exactly when a |-> upset is an order-reversing
+    bijection onto Up(M): the n upsets are distinct, and closed under
+    union with each principal upset, which builds every upset from the
+    empty one, and that union is the upset of an element below.  An
+    8-element order that is no lattice passes all but the last check.
     """
+    up = algebra.up
+    covers = upper_covers(algebra.order)
+    points = sorted(m for m, count in Counter(x for x, _ in covers).items() if count == 1)
+    values = [0] * algebra.n
+    for i, m in enumerate(points):
+        values[m] = 1 << i
+    for a, c in covers:  # a's upset holds its covers' upsets
+        values[a] |= values[c]
+    cones = tuple(values[m] for m in points)
+    element = {v: a for a, v in enumerate(values)}
+    if len(element) != algebra.n or not all(
+        v | c in element and up[element[v | c]] >> a & 1 for v, a in element.items() for c in cones
+    ):
+        raise InputError("the order of the join table is not a distributive lattice")
+    return Poset(tuple(algebra.carrier[m] for m in points), cones), tuple(values)
+
+
+def _distributive(algebra: BrouwerAlgebra) -> bool:
+    """Whether ``_dual`` accepts the order: then it is a distributive lattice."""
+    try:
+        return bool(_dual(algebra))
+    except InputError:
+        return False
+
+
+def _unadjoint_rows(algebra: BrouwerAlgebra) -> list[int]:
+    """The rows a on which a -> . is not left adjoint to a (+) . : the unit
+    b <= a (+) (a -> b), the counit a -> (a (+) b) <= b, or monotonicity of
+    a -> . along every cover y < x fails.  With (+) the lub, the adjunction
+    on row a is residuation on row a, and on every row it makes a (+) .
+    preserve (x), so the lattice distributive, whose covers are hypercube
+    edges, at most n log2 n / 2: a Brouwer algebra passes in O(n^2 log n)."""
     up, join, impl = algebra.up, algebra.join, algebra.impl
-    # a -> b is the least c with b <= a (+) c for all b iff a -> . is left
-    # adjoint to the monotone a (+) . : the unit b <= a (+) (a -> b), the
-    # counit a -> (a (+) b) <= b, and a -> . monotone, which it is iff it
-    # is monotone along every cover y < x.
     edges = upper_covers(algebra.order)
-    for a in range(algebra.n):
-        ja, ia = join[a], impl[a]
+    return [
+        a for a, (ja, ia) in enumerate(zip(join, impl))
         if not (
             all(up[b] >> ja[c] & 1 for b, c in enumerate(ia))
             and all(up[ia[c]] >> b & 1 for b, c in enumerate(ja))
             and all(up[ia[y]] >> ia[x] & 1 for y, x in edges)
-        ):
-            return False
-    return True
+        )
+    ]
 
 
 def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
@@ -193,12 +226,13 @@ def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
     Every violated instance is listed; an empty report certifies a Brouwer
     algebra.  The order, 0 and 1 are read off the join table and validated
     at construction time, so the bounds hold by then.  The lub/glb tables
-    are checked pair by pair in O(n^2).  When they hold, residuation is
-    decided by the adjunction of a -> . with a (+) ., which implies
-    distributivity, in O(n^2 log n); only when something fails do the
-    O(n^3) clauses run over every triple, to list each violated instance.
+    are checked pair by pair in O(n^2), then residuation row by row by the
+    adjunction (``_unadjoint_rows``).  Only what fails is listed instance by
+    instance: the O(n^3) distributivity clauses when lub/glb fail or
+    ``_dual`` refuses the order, and the O(n^2) residuation clause on the
+    rows whose adjunction fails, or on every row when lub/glb fail.
     ``checked`` counts the instances the clauses stand for, bounds
-    included, 2n + 3n^2 + 2n^3, on both routes.
+    included, 2n + 3n^2 + 2n^3, on every route.
     """
     n = algebra.n
     up, down = algebra.up, algebra.down
@@ -217,7 +251,9 @@ def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
             if down[m] != lb:
                 violations.append(f"meet: {car[a]!r} (x) {car[b]!r} = {car[m]!r} is not the glb")
 
-    if violations or not _certified(algebra):
+    lattice = not violations
+    rows = _unadjoint_rows(algebra) if lattice else range(n)
+    if rows and not (lattice and _distributive(algebra)):
         for a in range(n):
             for b in range(n):
                 for c in range(n):
@@ -232,19 +268,19 @@ def verify_brouwer(algebra: BrouwerAlgebra) -> Report:
                             f"({car[a]!r}, {car[b]!r}, {car[c]!r})"
                         )
 
-        # Residuation: b <= a (+) c  iff  a -> b <= c, for all a, b, c.
-        for a in range(n):
-            for b in range(n):
-                sat = 0
-                for c in range(n):
-                    if algebra.leq(b, join[a][c]):
-                        sat |= 1 << c
-                e = impl[a][b]
-                if not (sat >> e) & 1 or sat & ~up[e]:
-                    violations.append(
-                        f"residuation: {car[a]!r} -> {car[b]!r} = {car[e]!r} is not the "
-                        f"least c with {car[b]!r} <= {car[a]!r} (+) c"
-                    )
+    # Residuation: b <= a (+) c  iff  a -> b <= c, for all a, b, c.
+    for a in rows:
+        for b in range(n):
+            sat = 0
+            for c in range(n):
+                if algebra.leq(b, join[a][c]):
+                    sat |= 1 << c
+            e = impl[a][b]
+            if not (sat >> e) & 1 or sat & ~up[e]:
+                violations.append(
+                    f"residuation: {car[a]!r} -> {car[b]!r} = {car[e]!r} is not the "
+                    f"least c with {car[b]!r} <= {car[a]!r} (+) c"
+                )
 
     return Report(checked=2 * n + 3 * n * n + 2 * n**3, violations=tuple(violations))
 

@@ -40,9 +40,8 @@ def cmd_upsets(args: argparse.Namespace) -> int:
     poset = documents.poset_from_json(documents.load(args.poset))
     upsets = order.enumerate_upsets(poset)
     data = {"count": len(upsets), "upsets": [list(u.members) for u in upsets]}
-    human = f"{len(upsets)} upsets:\n" + "\n".join(
-        "  {" + ",".join(u.members) + "}" for u in upsets
-    )
+    labels = brouwer.upset_labels(poset, [u.mask for u in upsets])
+    human = f"{len(upsets)} upsets:\n" + "\n".join("  " + label for label in labels)
     _emit(data, args.json, human)
     return 0
 

@@ -27,14 +27,13 @@ level up the tree, under the caller's valuation budget.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import and_
 from typing import Mapping, Union
 
-from .brouwer import BrouwerAlgebra
+from .brouwer import BrouwerAlgebra, _dual
 from .errors import CapacityError, InputError, InvariantViolation, ValuationError
 from .formulas import BOT, And, Formula, Imp, Or, Var, free_vars
 from .order import Poset, Upset, upper_covers, upset_masks
@@ -128,35 +127,6 @@ def _sweep(
                 holds[x] &= holds[y]
             slots.append(holds)
     return slots[root]
-
-
-def _dual(algebra: BrouwerAlgebra) -> tuple[Poset, tuple[int, ...]]:
-    """The dual frame M of the algebra's order, and each element's upset.
-
-    M is the elements with exactly one upper cover, in carrier order and
-    ordered as in the algebra; a stands for {m in M : a <= m}, so 0 for M
-    and 1 for the empty upset.  The order is a distributive lattice, or
-    else ``InputError``, exactly when a |-> upset is an order-reversing
-    bijection onto Up(M): the n upsets are distinct, and closed under
-    union with each principal upset, which builds every upset from the
-    empty one, and that union is the upset of an element below.  An
-    8-element order that is no lattice passes all but the last check.
-    """
-    up = algebra.up
-    covers = upper_covers(algebra.order)
-    points = sorted(m for m, count in Counter(x for x, _ in covers).items() if count == 1)
-    values = [0] * algebra.n
-    for i, m in enumerate(points):
-        values[m] = 1 << i
-    for a, c in covers:  # a's upset holds its covers' upsets
-        values[a] |= values[c]
-    cones = tuple(values[m] for m in points)
-    element = {v: a for a, v in enumerate(values)}
-    if len(element) != algebra.n or not all(
-        v | c in element and up[element[v | c]] >> a & 1 for v, a in element.items() for c in cones
-    ):
-        raise InputError("the order of the join table is not a distributive lattice")
-    return Poset(tuple(algebra.carrier[m] for m in points), cones), tuple(values)
 
 
 def _evaluate(algebra: BrouwerAlgebra, f: Formula, env: Mapping[str, int]) -> int:

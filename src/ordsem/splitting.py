@@ -22,8 +22,8 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantViolation, Report, StagingError
 from .morphism import PMorphism
@@ -340,96 +340,104 @@ def split_from_cond_ii(
     return split
 
 
-@dataclass
+def _order_broken(s: SplittingStructure, u: object, iu: str, v: object, iv: str) -> str:
+    return (
+        f"order homomorphism broken: {s.describe(u)} <= {s.describe(v)} "
+        f"but {iu!r} is not a prefix of {iv!r}"
+    )
+
+
 class PartialHomomorphism:
     """Growing partial order-homomorphism into the binary tree 2^{<height}.
 
+    Owns the construction's state: ``pairs`` (element -> image, read-only),
+    its index ``groups`` (image -> elements), both in placement order, and
+    the ``trace``.  ``place`` is the one way to add a pair, so the index
+    cannot go stale; a map given at construction is indexed unchecked.
     Keeps the two construction invariants checkable at every stage: the
     map respects the order on its domain, and elements with incomparable
     images join outside the class.
     """
 
-    structure: SplittingStructure
-    height: int
-    pairs: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
+    def __init__(self, structure: SplittingStructure, height: int, pairs: Mapping | None = None):
+        self.structure, self.height, self.trace = structure, height, []
+        self._pairs = dict(pairs or {})
+        self.pairs = MappingProxyType(self._pairs)
+        self.groups: dict[str, list] = {}
+        for element, image in self._pairs.items():
+            self.groups.setdefault(image, []).append(element)
 
-    def _pair_violations(self, x: object, ix: str, y: object, iy: str) -> list[str]:
-        """Both invariants on a pair with images ix, iy, as messages; run only
-        to list what a failed group check found.  Images are tested first."""
-        s = self.structure
-        out = []
-        for u, iu, v, iv in ((x, ix, y, iy), (y, iy, x, ix)):
-            if not iv.startswith(iu) and s.leq(u, v):
-                out.append(
-                    f"order homomorphism broken: {s.describe(u)} <= {s.describe(v)} "
-                    f"but {iu!r} is not a prefix of {iv!r}"
-                )
-        if not ix.startswith(iy) and not iy.startswith(ix) and s.joins_in_class(x, y):
-            out.append(
-                f"incomparability invariant broken: images {ix!r} | {iy!r} but "
-                f"join({s.describe(x)}, {s.describe(y)}) stays in the class"
-            )
-        return out
+    def place(self, element: object, image: str, stage: str) -> None:
+        """Check a new pair (``check_new_pair``), then record it in ``pairs``,
+        ``groups`` and the trace."""
+        self.check_new_pair(element, image)
+        self._pairs[element] = image
+        self.groups.setdefault(image, []).append(element)
+        element_json = _element_json(self.structure, element)
+        self.trace.append(
+            {"stage": stage, "action": "place", "image": image, "element": element_json}
+        )
 
-    def _image_groups(self) -> dict[str, list]:
-        """Placed elements by image, both in insertion order."""
-        groups: dict[str, list] = {}
-        for element, image in self.pairs.items():
-            groups.setdefault(image, []).append(element)
-        return groups
-
-    def _groups_break(self, ix: str, xs: Sequence, iy: str, ys: Sequence) -> bool:
-        """Whether some x in xs (image ix) and y in ys (image iy) break an
-        invariant.  The images' relation is decided once; the oracle is asked
-        only what it leaves open: nothing for equal images, the one `leq`
-        that must fail when one image is a proper prefix of the other, and
-        both `leq`s and `joins_in_class` when they are incomparable."""
+    def _violations(self, ix: str, xs: Sequence, iy: str, ys: Sequence) -> Iterator[str]:
+        """Both invariants on each x in xs (image ix) against each y in ys
+        (image iy), lazily, as messages; for one pair, x <= y, then y <= x,
+        then the join.  The images' relation is decided once; the oracle is
+        asked only what it leaves open: nothing for equal images, the one
+        `leq` that must fail when one image is a proper prefix of the other,
+        and both `leq`s and `joins_in_class` when they are incomparable."""
         if ix == iy:
-            return False
-        leq = self.structure.leq
-        joins_in_class = self.structure.joins_in_class
-        below, above = iy.startswith(ix), ix.startswith(iy)
+            return
+        s = self.structure
+        leq, joins_in_class = s.leq, s.joins_in_class
+        if iy.startswith(ix):
+            ix, xs, iy, ys = iy, ys, ix, xs
+        if ix.startswith(iy):  # iy is a proper prefix of ix: only x <= y breaks the order
+            for x in xs:
+                for y in ys:
+                    if leq(x, y):
+                        yield _order_broken(s, x, ix, y, iy)
+            return
         for x in xs:
             for y in ys:
-                if below:
-                    if leq(y, x):
-                        return True
-                elif above:
-                    if leq(x, y):
-                        return True
-                elif leq(x, y) or leq(y, x) or joins_in_class(x, y):
-                    return True
-        return False
+                if leq(x, y):
+                    yield _order_broken(s, x, ix, y, iy)
+                if leq(y, x):
+                    yield _order_broken(s, y, iy, x, ix)
+                if joins_in_class(x, y):
+                    yield (
+                        f"incomparability invariant broken: images {ix!r} | {iy!r} but "
+                        f"join({s.describe(x)}, {s.describe(y)}) stays in the class"
+                    )
 
     def check_new_pair(self, element: object, image: str) -> None:
-        """Both invariants against the existing pairs, before insertion, image
-        group by image group; a failure raises the first pairwise violation."""
+        """Both invariants against the placed pairs, before insertion, image
+        group by image group; a failure raises the first pairwise violation,
+        in placement order."""
         if not any(
-            self._groups_break(other_image, others, image, (element,))
-            for other_image, others in self._image_groups().items()
+            any(self._violations(other_image, others, image, (element,)))
+            for other_image, others in self.groups.items()
         ):
             return
-        for other, other_image in self.pairs.items():
-            violations = self._pair_violations(other, other_image, element, image)
-            if violations:
-                raise InvariantViolation(violations[0])
+        for other, other_image in self._pairs.items():
+            for message in self._violations(other_image, (other,), image, (element,)):
+                raise InvariantViolation(message)
 
     def check_invariants(self) -> Report:
         """Full re-check of both invariants (non-incremental), group pair by
-        group pair; only on a failure are the pairs listed one by one."""
-        groups = list(self._image_groups().items())
+        group pair; only on a failure are the pairs listed one by one, in
+        placement order."""
+        groups = list(self.groups.items())
         violations: list[str] = []
         if any(
-            self._groups_break(ix, xs, iy, ys)
+            any(self._violations(ix, xs, iy, ys))
             for i, (ix, xs) in enumerate(groups)
             for iy, ys in groups[i + 1 :]
         ):
-            items = list(self.pairs.items())
+            items = list(self._pairs.items())
             for i, (a, ia) in enumerate(items):
                 for b, ib in items[i + 1 :]:
-                    violations.extend(self._pair_violations(a, ia, b, ib))
-        n = len(self.pairs)
+                    violations.extend(self._violations(ia, (a,), ib, (b,)))
+        n = len(self._pairs)
         return Report(checked=n * (n - 1), violations=tuple(violations))
 
     def to_json(self) -> dict:
@@ -459,25 +467,14 @@ def build_pmorphism(
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
     alpha = PartialHomomorphism(structure, height)
-    preimages: dict[str, list] = {}  # image -> placed elements, in placement order
-
-    def place(element: object, image: str, stage: str) -> None:
-        alpha.check_new_pair(element, image)
-        alpha.pairs[element] = image
-        preimages.setdefault(image, []).append(element)
-        element_json = _element_json(structure, element)
-        alpha.trace.append(
-            {"stage": stage, "action": "place", "image": image, "element": element_json}
-        )
-
-    place(structure.least(), "", "R0")
+    alpha.place(structure.least(), "", "R0")
 
     for k in range(steps):
         a = structure.enumerate(k)
         if a not in alpha.pairs:
             below = [
                 image
-                for image, group in preimages.items()
+                for image, group in alpha.groups.items()
                 if any(structure.leq(element, a) for element in group)
             ]
             if not below:
@@ -491,7 +488,7 @@ def build_pmorphism(
                         f"R{2 * k + 1}: images of elements below "
                         f"{structure.describe(a)} are not totally ordered"
                     )
-            place(a, chain[-1], f"R{2 * k + 1}")
+            alpha.place(a, chain[-1], f"R{2 * k + 1}")
         image = alpha.pairs[a]
 
         if len(image) == height - 1:
@@ -501,7 +498,7 @@ def build_pmorphism(
             continue
         child0, child1 = image + "0", image + "1"
         if all(
-            any(structure.leq(a, e) for e in preimages.get(child, ()))
+            any(structure.leq(a, e) for e in alpha.groups.get(child, ()))
             for child in (child0, child1)
         ):
             alpha.trace.append(
@@ -526,7 +523,7 @@ def build_pmorphism(
                 raise InvariantViolation(
                     f"split oracle returned an already-placed element at stage R{2 * k + 2}"
                 )
-            place(h, child, f"R{2 * k + 2}")
+            alpha.place(h, child, f"R{2 * k + 2}")
 
     return alpha
 
@@ -539,16 +536,13 @@ def _closed_domain(alpha: PartialHomomorphism) -> list:
     closed part can be packaged as a frame morphism: the back condition
     descends through finished children exactly as in the limit argument.
     """
-    s = alpha.structure
-    preimages = alpha._image_groups()
+    s, groups = alpha.structure, alpha.groups
     # A child's image is one letter longer, so visiting images longest first
     # settles every child before its parent: one pass reaches the fixpoint.
     closed: set = set()
-    for image in sorted(preimages, key=len, reverse=True):
-        children = [
-            [e for e in preimages.get(image + letter, ()) if e in closed] for letter in "01"
-        ]
-        for element in preimages[image]:
+    for image in sorted(groups, key=len, reverse=True):
+        children = [[e for e in groups.get(image + letter, ()) if e in closed] for letter in "01"]
+        for element in groups[image]:
             if len(image) == alpha.height - 1 or all(
                 any(s.leq(element, e) for e in above) for above in children
             ):

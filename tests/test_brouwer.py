@@ -356,6 +356,19 @@ class TestVerifyAgainstReference:
             violating += not report.ok
         assert violating == cases
 
+    def test_seeded_corruptions_of_the_five_antichain(self):
+        # 32 elements: the rows whose adjunction fails are listed alone
+        algebra = upset_algebra(from_relation("abcde", []))
+        rng = random.Random(5)
+        cases = 0
+        while cases < 40:
+            corrupt = corrupted(algebra, rng)
+            if corrupt is None:
+                continue
+            cases += 1
+            report = verify_brouwer(corrupt)
+            assert not report.ok and report == ref_verify_brouwer(corrupt)
+
 
 class TestTreeAlgebra:
     """The upset algebra of 2^{<4}, 677 elements: the largest tree frame
@@ -372,6 +385,22 @@ class TestTreeAlgebra:
         report = verify_brouwer(tree_algebra)
         elapsed = time.perf_counter() - start
         assert report == Report(checked=2 * n + 3 * n**2 + 2 * n**3)
+        assert elapsed < 5, f"verify_brouwer took {elapsed:.1f}s (> 5s)"
+
+    def test_one_changed_impl_cell_is_listed_within_budget(self, tree_algebra):
+        n = tree_algebra.n
+        impl = [list(row) for row in tree_algebra.impl]
+        impl[5][7] = (impl[5][7] + 1) % n
+        corrupt = dataclasses.replace(tree_algebra, impl=tuple(map(tuple, impl)))
+        start = time.perf_counter()
+        report = verify_brouwer(corrupt)
+        elapsed = time.perf_counter() - start
+        label = tree_algebra.carrier
+        assert report.checked == 2 * n + 3 * n**2 + 2 * n**3
+        assert report.violations == (
+            f"residuation: {label[5]!r} -> {label[7]!r} = {label[impl[5][7]]!r} is not the "
+            f"least c with {label[7]!r} <= {label[5]!r} (+) c",
+        )
         assert elapsed < 5, f"verify_brouwer took {elapsed:.1f}s (> 5s)"
 
     def test_quotient_is_the_interval(self, tree_algebra):

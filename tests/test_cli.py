@@ -35,6 +35,33 @@ class TestUpsets:
         data = json.loads(capsys.readouterr().out)
         assert data["count"] == 5
 
+    @pytest.mark.parametrize(
+        "name, stdout",
+        [
+            ("fork", "5 upsets:\n  {}\n  {l}\n  {k}\n  {l,k}\n  {r,l,k}\n"),
+            (
+                "diamond",
+                "6 upsets:\n  {}\n  {top}\n  {m1,top}\n  {m2,top}\n  {m1,m2,top}\n"
+                "  {bot,m1,m2,top}\n",
+            ),
+        ],
+    )
+    def test_human_output_is_byte_identical(self, name, stdout, tmp_path, capsys):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps({"fork": FORK, "diamond": DIAMOND}[name]))
+        assert main(["upsets", str(path)]) == 0
+        assert capsys.readouterr().out == stdout
+
+    def test_member_labels_with_commas_are_quoted(self, tmp_path, capsys):
+        # as in the algebra's carrier labels, {a, b} and {"a,b"} differ
+        path = tmp_path / "commas.json"
+        path.write_text(json.dumps({"elements": ["a", "b", "a,b"], "leq": []}))
+        assert main(["upsets", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  {a,b}" in lines and '  {"a,b"}' in lines
+        assert '  {a,"a,b"}' in lines
+        assert len(set(lines)) == len(lines) == 9
+
     def test_malformed_input_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

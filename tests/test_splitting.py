@@ -498,6 +498,51 @@ class TestBuildPins:
         assert tuple(digests) == BUILD_SHA256[height]
 
 
+def regroup(pairs):
+    """Reference index: placed elements by image, both in insertion order."""
+    groups = {}
+    for element, image in pairs.items():
+        groups.setdefault(image, []).append(element)
+    return groups
+
+
+class TestImageIndex:
+    @pytest.mark.parametrize("height", [3, 4, 5, 6])
+    def test_groups_regroup_the_pairs_after_builds(self, height):
+        for seed in range(1, 6):
+            alpha = build_pmorphism(SyntheticAntichainModel(seed=seed), height, 12 * height)
+            assert list(alpha.groups.items()) == list(regroup(alpha.pairs).items())
+            placed = [entry["element"] for entry in alpha.trace if entry["action"] == "place"]
+            assert placed == [pair["element"] for pair in alpha.to_json()["pairs"]]
+
+    def test_pairs_are_read_only(self):
+        model = SyntheticAntichainModel()
+        alpha = build_pmorphism(model, 3, 8)
+        with pytest.raises(TypeError):
+            alpha.pairs[ac((5,))] = "0"
+        with pytest.raises(TypeError):
+            del alpha.pairs[model.least()]
+
+    def test_a_given_map_is_indexed_and_copied(self):
+        model = SyntheticAntichainModel()
+        pairs = {ac(()): "", ac((0,)): "0", ac((1,)): "1", ac((0, 0)): "0"}
+        alpha = PartialHomomorphism(model, 3, pairs)
+        assert alpha.groups == {"": [ac(())], "0": [ac((0,)), ac((0, 0))], "1": [ac((1,))]}
+        assert alpha.trace == []
+        pairs[ac((2,))] = "1"
+        assert ac((2,)) not in alpha.pairs and alpha.groups["1"] == [ac((1,))]
+
+    def test_a_refused_placement_changes_nothing(self):
+        model = SyntheticAntichainModel()
+        alpha = PartialHomomorphism(model, 3)
+        alpha.place(ac(()), "", "R0")
+        alpha.place(ac((0,)), "0", "R1")
+        before = (dict(alpha.pairs), regroup(alpha.pairs), list(alpha.trace))
+        with pytest.raises(InvariantViolation, match="order homomorphism broken"):
+            alpha.place(ac((0, 0)), "1", "R2")
+        assert (dict(alpha.pairs), alpha.groups, alpha.trace) == before
+
+
 class JoinsStayInClass(SyntheticAntichainModel):
     """Antichains of up to two sequences form the class, so incomparable
     singletons join inside it; only the generic hook knows that."""
@@ -540,8 +585,7 @@ class TestInvariantChecks:
         with pytest.raises(InvariantViolation, match=re.escape(message)):
             alpha.check_new_pair(*new)
         element, image = new
-        alpha.pairs[element] = image
-        report = alpha.check_invariants()
+        report = PartialHomomorphism(model, 3, {**placed, element: image}).check_invariants()
         assert message in report.violations
         assert report.checked == 3 * 2
 
@@ -596,13 +640,15 @@ def new_pair_message(alpha, element, image):
 
 def reassign_images(alpha, rng, count):
     """Move `count` placed elements to an ancestor, a descendant or an
-    incomparable node of their image in 2^{<height}; returns them."""
+    incomparable node of their image in 2^{<height}; returns the map
+    rebuilt with the moved pairs, and the moved elements."""
     nodes = [""]
     for _ in range(alpha.height - 1):
         nodes += [n + letter for n in nodes if len(n) == len(nodes[-1]) for letter in "01"]
-    moved = rng.sample(list(alpha.pairs), count)
+    pairs = dict(alpha.pairs)
+    moved = rng.sample(list(pairs), count)
     for element in moved:
-        image = alpha.pairs[element]
+        image = pairs[element]
         kinds = {
             "ancestor": [n for n in nodes if image.startswith(n) and n != image],
             "descendant": [n for n in nodes if n.startswith(image) and n != image],
@@ -611,8 +657,8 @@ def reassign_images(alpha, rng, count):
             ],
         }
         choices = kinds[rng.choice(sorted(k for k, v in kinds.items() if v))]
-        alpha.pairs[element] = rng.choice(choices)
-    return moved
+        pairs[element] = rng.choice(choices)
+    return PartialHomomorphism(alpha.structure, alpha.height, pairs), moved
 
 
 def assert_grouped_matches_pairwise(alpha, rng, probes):
@@ -645,7 +691,7 @@ class TestGroupedChecks:
         for seed in range(1, 9):
             alpha = build_pmorphism(SyntheticAntichainModel(seed=seed), height, 16 * height)
             rng = random.Random(seed)
-            moved = reassign_images(alpha, rng, rng.randint(1, 3))
+            alpha, moved = reassign_images(alpha, rng, rng.randint(1, 3))
             probes = moved + rng.sample(list(alpha.pairs), 3)
             assert_grouped_matches_pairwise(alpha, rng, probes)
 
@@ -670,7 +716,7 @@ class TestGroupedChecks:
         alpha = PartialHomomorphism(model, 3, dict(placed))
         assert new_pair_message(alpha, *new) == reference_new_pair_message(alpha, *new)
         element, image = new
-        alpha.pairs[element] = image
+        alpha = PartialHomomorphism(model, 3, {**placed, element: image})
         assert alpha.check_invariants() == reference_check_invariants(alpha)
 
     @settings(max_examples=25, deadline=None)
@@ -683,7 +729,7 @@ class TestGroupedChecks:
     def test_hypothesis_reassignments_match_pairwise_reference(self, seed, height, count, salt):
         alpha = build_pmorphism(SyntheticAntichainModel(seed=seed), height, 12 * height)
         rng = random.Random(salt)
-        moved = reassign_images(alpha, rng, min(count, len(alpha.pairs)))
+        alpha, moved = reassign_images(alpha, rng, min(count, len(alpha.pairs)))
         assert_grouped_matches_pairwise(alpha, rng, moved)
 
     def test_every_pairwise_question_is_still_asked(self):
@@ -752,9 +798,7 @@ class TestClosedDomain:
 class TestPackaging:
     def test_missing_leaf_is_staging_error(self):
         model = SyntheticAntichainModel()
-        alpha = PartialHomomorphism(model, 2)
-        alpha.pairs[model.least()] = ""
-        alpha.pairs[ac((0,))] = "0"
+        alpha = PartialHomomorphism(model, 2, {model.least(): "", ac((0,)): "0"})
         with pytest.raises(StagingError, match="'1'"):
             pmorphism_of(alpha)
 
