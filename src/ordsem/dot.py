@@ -32,8 +32,8 @@ def _digraph(name: str, body: list[str]) -> str:
     return "\n".join([f"digraph {name} {{", "  rankdir=BT;", *body, "}"]) + "\n"
 
 
-def frame_dot(poset: Poset, name: str = "frame") -> str:
-    return _digraph(name, _hasse(poset))
+def frame_dot(poset: Poset) -> str:
+    return _digraph("frame", _hasse(poset))
 
 
 def pmorphism_dot(m: PMorphism) -> str:

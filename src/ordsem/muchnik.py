@@ -19,7 +19,6 @@ from .order import (
     Poset,
     bits,
     closure_mask,
-    is_join_semilattice,
     join_index,
     upset_masks,
 )
@@ -149,18 +148,20 @@ def iso_check(poset: Poset) -> Report:
 
     Over all 2^|X| mass problems: A is equivalent to C(A); degrees biject
     with upsets; order and the three operations transfer to the upset
-    algebra's tables.  Once per poset it computes the join indices, C(A)
-    and the reach of every A (the degrees computing some member of A);
-    order is read through the down-cones, independently of the closure it
-    is checked against.  One pass over the pairs computes each pair's
-    operations once and checks them against the upset masks and against
-    the algebra's tables; table violations are listed after the others.
+    algebra's tables.  Once per poset it computes the join indices (a
+    missing one refuses the poset), C(A) and the reach of every A (the
+    degrees computing some member of A); order is read through the
+    down-cones, independently of the closure it is checked against.  One
+    pass over the pairs computes each pair's operations once and checks
+    them against the upset masks and against the algebra's tables; table
+    violations are listed after the others.
     """
     if poset.n > MAX_ISO_ELEMENTS:
         raise CapacityError(
             f"iso check guard: {poset.n} elements > {MAX_ISO_ELEMENTS}"
         )
-    if not is_join_semilattice(poset):
+    degrees = _Degrees(poset)
+    if any(None in row for row in degrees.joins):
         raise StructureError("degree poset is missing joins (not a join-semilattice)")
 
     algebra = upset_algebra(poset)
@@ -168,7 +169,6 @@ def iso_check(poset: Poset) -> Report:
     # algebra index of an upset mask can be recovered positionally.
     masks = upset_masks(poset)
     pos = {m: i for i, m in enumerate(masks)}
-    degrees = _Degrees(poset)
     problems = range(poset.full_mask + 1)
     closure = [closure_mask(poset, a) for a in problems]
     reach = [degrees.reach(a) for a in problems]

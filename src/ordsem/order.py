@@ -234,16 +234,10 @@ def from_relation(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> 
         if a not in index or b not in index:
             raise InputError(f"relation pair ({a!r}, {b!r}) mentions unknown elements")
         cones[index[a]] |= 1 << index[b]
-    changed = True
-    while changed:
-        changed = False
+    for k in range(len(elems)):  # Warshall: round k adds the paths through k
         for i in range(len(elems)):
-            merged = cones[i]
-            for j in bits(cones[i]):
-                merged |= cones[j]
-            if merged != cones[i]:
-                cones[i] = merged
-                changed = True
+            if cones[i] >> k & 1:
+                cones[i] |= cones[k]
     return Poset(elems, tuple(cones))
 
 

@@ -22,7 +22,8 @@ Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
 proves non-membership, while "valid up to the bound" is exactly that.
 The decision closes sets of forced program slots ("profiles") level by
-level up the tree, under the caller's valuation budget.
+level up the tree, under the caller's valuation budget, until a level
+equals the previous one, as levels only grow.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ class _Tables:
     it is None until a query with a leading variable asks for it.
 
     ``answers`` maps each formula asked to its first refuting choice of
-    value indices, or None.  It keys on the formula's node, so a formula
-    asked of a structure stays interned as long as the structure's tables.
+    value indices, followed by the first point refuted under it, or None.
+    It keys on the formula's node, so a formula asked of a structure stays
+    interned as long as the structure's tables.
     """
 
     __slots__ = ("frame", "values", "answers", "covers", "lanes")
@@ -224,17 +226,18 @@ def _trailing_slots(frame: Poset, masks: tuple[int, ...], width: int) -> list[li
 
 
 def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[int, ...] | None:
-    """The first refuting choice of value indices, or None.  One sweep per
-    choice of the leading variables, the trailing ones' upsets side by side
-    in the lanes.  Lane order is canonical order, so the lowest refuted
-    lane of the first refuted sweep is the first refutation."""
+    """The first refuting choice of value indices, then its first refuted
+    point; or None.  One sweep per choice of the leading variables, the
+    trailing ones' upsets side by side in the lanes.  Lane order is
+    canonical order, so the lowest refuted lane of the first refuted sweep
+    is the first refutation."""
     names, steps, root = program
     if tables.covers is None:
         tables.covers = upper_covers(frame)
     covers, falsum = tables.covers, [0] * frame.n
     if not names:
         forced = _sweep(covers, steps, root, [falsum], 1)
-        return None if all(forced) else ()
+        return None if all(forced) else (forced.index(0),)
     masks = tables.values
     count = len(masks)
     width = _lane_width(count, len(names))
@@ -248,10 +251,13 @@ def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[in
     tables.lanes[width] = trailing, rows
     for lead in product(range(count), repeat=leading):
         slots = [*[rows[i] for i in lead], *trailing, falsum]
-        refuted = ones ^ reduce(and_, _sweep(covers, steps, root, slots, ones), ones)
+        forced = _sweep(covers, steps, root, slots, ones)
+        refuted = ones ^ reduce(and_, forced, ones)
         if refuted:
-            lane = (refuted & -refuted).bit_length() - 1
-            return (*lead, *[lane // count ** (width - 1 - j) % count for j in range(width)])
+            low = refuted & -refuted  # the first refuted lane's bit
+            lane = low.bit_length() - 1
+            point = [lanes & low for lanes in forced].index(0)
+            return (*lead, *[lane // count ** (width - 1 - j) % count for j in range(width)], point)
     return None
 
 
@@ -283,10 +289,12 @@ def _first_refutation(
     if f not in tables.answers:
         frame = structure if tables.frame is None else tables.frame
         tables.answers[f] = _frame_refutation(frame, tables, program)
-    found = tables.answers[f]
-    if found is not None and tables.frame is None:  # a frame answers with masks
-        found = [tables.values[i] for i in found]
-    return None if found is None else dict(zip(names, found))
+    found = tables.answers[f]  # value indices, then the point, which zip drops
+    if found is None:
+        return None
+    if tables.frame is None:  # a frame answers with masks
+        return {name: tables.values[i] for name, i in zip(names, found)}
+    return dict(zip(names, found))
 
 
 def theory_contains(structure: Structure, f: Formula, *, max_valuations: int = MAX_VALUATIONS) -> bool:
@@ -304,33 +312,28 @@ def theory_contains(structure: Structure, f: Formula, *, max_valuations: int = M
 def frame_witness(
     frame: Poset, f: Formula, *, max_valuations: int = MAX_VALUATIONS
 ) -> tuple[dict[str, Upset], str] | None:
-    """First refuting (valuation, point) in canonical order, or None."""
+    """First refuting (valuation, point) in canonical order, or None.  The
+    point is the one the sweep stored with its answer, not searched for."""
     env = _first_refutation(frame, f, max_valuations)
     if env is None:
         return None
     valuation = {name: Upset(frame, mask) for name, mask in env.items()}
-    forced = forced_upset(frame, valuation, f).mask
-    point = next(i for i in range(frame.n) if not (forced >> i) & 1)
-    return valuation, frame.elements[point]
+    return valuation, frame.elements[frame._tables.answers[f][-1]]
 
 
 def binary_tree_frame(height: int) -> Poset:
-    """The frame 2^{<height}: binary strings of length < height, prefix order."""
+    """The frame 2^{<height}: binary strings of length < height, prefix order.
+    In (length, string) order they form a heap: node i spells i + 1 in
+    binary without its leading 1, and its children are 2i + 1 and 2i + 2."""
     if height < 1:
         raise InputError(f"tree height must be >= 1, got {height}")
     if height > MAX_TREE_HEIGHT:
         raise CapacityError(f"tree height guard: {height} > {MAX_TREE_HEIGHT}")
-    nodes = sorted(
-        ("".join(word) for k in range(height) for word in product("01", repeat=k)),
-        key=lambda s: (len(s), s),
-    )
-    index = {s: i for i, s in enumerate(nodes)}
-    cones = [0] * len(nodes)
-    for s in nodes:
-        for t in nodes:
-            if t.startswith(s):
-                cones[index[s]] |= 1 << index[t]
-    return Poset(tuple(nodes), tuple(cones))
+    n = (1 << height) - 1
+    cones = [1 << i for i in range(n)]
+    for i in reversed(range(n // 2)):  # the inner nodes, children first
+        cones[i] |= cones[2 * i + 1] | cones[2 * i + 2]
+    return Poset(tuple(bin(i + 1)[3:] for i in range(n)), tuple(cones))
 
 
 @dataclass(frozen=True)
@@ -370,10 +373,13 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
     profiles: bit i of a profile says that the point forces slot i of f's
     compiled program, so the atoms are the low bits and f is the root's
     bit.  A node's profile follows from its atoms and the profiles its two
-    children share, so each level is built from the previous one, and the
-    search stops at the first level whose profile set repeats an earlier
-    one.  The pairings of the previous level's profiles and the closures
-    they need, one per atom set and shared child profile, are charged to
+    children share, so each level is built from the previous one.  Levels
+    only grow: a node with P's atoms whose children both carry P closes to
+    P again, as P holds an implication slot only where its clause holds.
+    So a level that repeats an earlier one equals the previous one, as
+    does every later level, and the search stops at the first such level.
+    The pairings of the previous level's profiles and the closures they
+    need, one per atom set and shared child profile, are charged to
     ``max_valuations`` before each level runs; a level that would exceed
     it raises CapacityError.  Only when a level is refutable is the
     valuation space enumerated, to extract the smallest-k,
@@ -399,7 +405,6 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
         return profile
 
     previous = {-1}  # a leaf closes as if its children forced every slot
-    seen: set[frozenset[int]] = set()
     spent = 0
     for k in range(1, max_height + 1):
         spent += len(previous) ** 2
@@ -427,9 +432,7 @@ def ipc_check_bounded(f: Formula, max_height: int, *, max_valuations: int = MAX_
                 )
             valuation, point = witness
             return Countermodel(f, frame, valuation, point, k)
-        level = frozenset(current)
-        if level in seen:  # later levels repeat earlier ones: nothing new to refute
+        if current == previous:  # the fixpoint: every later level is this one
             break
-        seen.add(level)
         previous = current
     return ValidUpToBound(f, max_height)

@@ -33,6 +33,8 @@ from .semantics import binary_tree_frame
 Seq = tuple[int, ...]
 Antichain = frozenset[Seq]
 
+_SHUFFLE_WINDOW = 5  # a seeded model's delivery window
+
 
 class SplittingStructure(ABC):
     """Oracle bundle for a splitting class inside an ambient order."""
@@ -128,9 +130,9 @@ class SyntheticAntichainModel(SplittingStructure):
     A non-zero seed shuffles delivery inside a small sliding window.
     """
 
-    def __init__(self, seed: int = 0, shuffle_window: int = 5):
+    def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        self._shuffle = shuffle_window if seed != 0 else 1
+        self._shuffle = _SHUFFLE_WINDOW if seed != 0 else 1
         self._spine = iter(_spine())
         self._queue: deque[Antichain] = deque()
         self._buffer: list[Antichain] = []

@@ -42,9 +42,48 @@ def brute_force_upsets(poset):
     return set(out)
 
 
+def reachability_cones(n, pairs):
+    """Independent oracle: each element's reflexive-transitive successors,
+    by depth-first search over the generating pairs (index pairs)."""
+    successors = [[b for a, b in pairs if a == x] for x in range(n)]
+    cones = []
+    for x in range(n):
+        reached, stack = {x}, [x]
+        while stack:
+            for y in successors[stack.pop()]:
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        cones.append(sum(1 << y for y in reached))
+    return tuple(cones)
+
+
+def poset_or_message(build):
+    try:
+        return build()
+    except InputError as exc:
+        return str(exc)
+
+
 class TestPosetConstruction:
     def test_closure_is_computed(self, chain3):
         assert chain3.leq("a", "c")
+
+    def test_closure_matches_reachability(self):
+        # half the relations point upward only (posets), half anywhere (cycles)
+        rng = random.Random(20)
+        posets = 0
+        for trial in range(20_000):
+            n = rng.randint(0, 8)
+            labels = [f"e{i}" for i in range(n)]
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            if trial % 2:
+                pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+            expected = poset_or_message(lambda: Poset(tuple(labels), reachability_cones(n, pairs)))
+            named = [(labels[a], labels[b]) for a, b in pairs]
+            assert poset_or_message(lambda: from_relation(labels, named)) == expected, (n, pairs)
+            posets += isinstance(expected, Poset)
+        assert 10_000 <= posets < 20_000  # both outcomes are exercised
 
     def test_axioms_rejected_on_bad_input(self):
         with pytest.raises(InputError):

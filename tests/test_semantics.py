@@ -185,6 +185,85 @@ def pointwise_forces(frame, x, env, f):
     )
 
 
+def prefix_tree(height):
+    """Independent oracle for 2^{<height}: every binary string shorter than
+    height, sorted by (length, string), ordered by testing every pair for
+    a prefix."""
+    nodes = sorted(
+        ("".join(word) for k in range(height) for word in product("01", repeat=k)),
+        key=lambda s: (len(s), s),
+    )
+    cones = (sum(1 << j for j, t in enumerate(nodes) if t.startswith(s)) for s in nodes)
+    return Poset(tuple(nodes), tuple(cones))
+
+
+def remembering_ipc_check(formula, max_height, max_valuations=semantics.MAX_VALUATIONS):
+    """Reference bounded IPC search that does not assume levels grow: it
+    keeps every earlier level and stops at the first one that repeats any
+    of them, its tree comes from ``prefix_tree``, and its countermodel
+    point from a second run of the program through ``forced_upset``.
+    Returns (answer, or the CapacityError message; the levels it built)."""
+    names, steps, root = semantics._compile(formula)
+    atoms = (1 << len(names)) - 1
+
+    def close(profile, shared):
+        for slot, (op, a, b) in enumerate(steps, len(names) + 1):
+            x, y = profile >> a & 1, profile >> b & 1
+            if op == semantics._AND:
+                forced = x and y
+            elif op == semantics._OR:
+                forced = x or y
+            else:
+                forced = (not x or y) and shared >> slot & 1
+            if forced:
+                profile |= 1 << slot
+        return profile
+
+    previous, seen, levels, spent = {-1}, set(), [], 0
+    for k in range(1, max_height + 1):
+        spent += len(previous) ** 2
+        if spent <= max_valuations:
+            shared_sets = {p0 & p1 for p0 in previous for p1 in previous}
+            spent += sum(1 << (shared & atoms).bit_count() for shared in shared_sets)
+        if spent > max_valuations:
+            return f"profile guard: {spent} pairings and closures by height {k} exceed {max_valuations}", levels
+        current = set()
+        for shared in shared_sets:
+            common = shared & atoms
+            for sub in range(common + 1):
+                if sub & ~common == 0:
+                    current.add(close(sub, shared))
+        levels.append(current)
+        if any(not p >> root & 1 for p in current):
+            frame = prefix_tree(k)
+            try:
+                env = semantics._first_refutation(frame, formula, max_valuations)
+            except CapacityError as exc:
+                return str(exc), levels
+            valuation = {name: Upset(frame, mask) for name, mask in env.items()}
+            forced = forced_upset(frame, valuation, formula).mask
+            point = next(i for i in range(frame.n) if not forced >> i & 1)
+            return Countermodel(formula, frame, valuation, frame.elements[point], k), levels
+        level = frozenset(current)
+        if level in seen:
+            break
+        seen.add(level)
+        previous = current
+    return ValidUpToBound(formula, max_height), levels
+
+
+def assert_search_matches_remembering_copy(formula):
+    """Equal answers at bounds 1-6, and the copy's levels only grow."""
+    for bound in range(1, 7):
+        expected, levels = remembering_ipc_check(formula, bound)
+        try:
+            found = ipc_check_bounded(formula, bound)
+        except CapacityError as exc:
+            found = str(exc)
+        assert found == expected, (formula, bound)
+        assert all(low <= high for low, high in zip(levels, levels[1:])), (formula, bound)
+
+
 def assert_least_refuting_height(formula):
     """Bounded IPC answers with the least refuting tree height, per enumeration."""
     for bound in (1, 2, 3):
@@ -615,6 +694,19 @@ class TestTablesLiveOnTheStructure:
         gc.collect()
         assert gone() is None
 
+    def test_a_cached_point_is_the_point_a_fresh_frame_finds(self):
+        # the root comes last, so the refuted point is not the first point
+        r, l, k = "cached-r", "cached-l", "cached-k"
+        frame = from_relation([l, k, r], [(r, l), (r, k)])
+        formula = parse("p | ~p")
+        assert not theory_contains(frame, formula)
+        assert frame._tables.answers[formula] == (1, 2)  # p = {l}, refuted at r
+        witness = frame_witness(frame, formula)
+        fresh = Poset(frame.elements, frame.up)
+        assert not hasattr(fresh, "_tables")
+        assert witness == frame_witness(fresh, formula)
+        assert witness[1] == r
+
     @pytest.mark.parametrize("build", ["fork_frame", "fork_algebra"])
     def test_an_equal_copy_gives_the_same_refutation(self, build):
         structure = getattr(self, build)(f"equal-{build}")
@@ -650,6 +742,10 @@ class TestBinaryTree:
         assert binary_tree_frame(semantics.MAX_TREE_HEIGHT).n == 1023
         with pytest.raises(CapacityError, match="tree height guard"):
             binary_tree_frame(semantics.MAX_TREE_HEIGHT + 1)
+
+    def test_heap_order_is_the_prefix_order(self):
+        for height in range(1, semantics.MAX_TREE_HEIGHT + 1):
+            assert binary_tree_frame(height) == prefix_tree(height), height
 
 
 class TestIpcCheckBounded:
@@ -732,6 +828,18 @@ class TestIpcCheckBounded:
         assert time.perf_counter() - start < 0.5
         assert isinstance(result, ValidUpToBound)
         assert result.bound == 10**9
+
+    def test_corpora_match_the_remembering_search(self):
+        texts = dict.fromkeys(
+            [*MIXED_CORPUS, *NON_THEOREMS, *IPC_THEOREMS, *BOUNDED_VALID, *BOUNDED_REFUTED]
+        )
+        for text in texts:
+            assert_search_matches_remembering_copy(parse(text))
+
+    @settings(deadline=None)
+    @given(formulas(3))
+    def test_random_formulas_match_the_remembering_search(self, formula):
+        assert_search_matches_remembering_copy(formula)
 
     def test_huge_bound_gives_the_small_bound_answer(self):
         # every corpus formula settles by height 4, so a bound past the
