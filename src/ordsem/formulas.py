@@ -24,6 +24,13 @@ hash-consing*, 2006): a constructor returns the live node with the same
 class and fields if there is one, so equal formulas are one object,
 equality is identity and a hash costs O(1).  The intern table holds its
 nodes weakly, so a formula nothing else references leaves it.
+
+`parse` keeps a second weak table, from each text it parsed to the node
+it parsed to.  While that node lives, parsing the text again would
+rebuild its whole path through the intern table only to find it, so the
+memo returns it at once; once the node is gone, the text leaves the memo
+with it, and the next parse of the text builds the node anew.  Texts
+that fail to parse are never stored.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ MAX_DEPTH = 100
 
 # (class, *fields) -> the one live node with them
 _interned: WeakValueDictionary = WeakValueDictionary()
+# text -> the live node `parse` built from it
+_parsed: WeakValueDictionary = WeakValueDictionary()
 
 
 class Formula:
@@ -233,6 +242,19 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
+    """The formula the text spells, or ``ParseError``.
+
+    The node is memoised by the exact text, weakly: hash-consing makes it
+    the node the parser would build while it lives, and holding it weakly
+    lets a formula nothing else references leave both tables.
+    """
+    node = _parsed.get(text)
+    if node is None:
+        node = _parsed[text] = _parse(text)
+    return node
+
+
+def _parse(text: str) -> Formula:
     parser = _Parser(text)
     out = parser.formula()
     kind, _, offset = parser.peek()

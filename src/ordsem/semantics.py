@@ -56,6 +56,8 @@ _OPCODE = {And: _AND, Or: _OR, Imp: _IMP}
 
 Structure = Union[BrouwerAlgebra, Poset]
 
+_UNASKED = object()  # ``_Tables.answers`` has no entry for the formula
+
 
 def _compile(f: Formula) -> tuple[tuple[str, ...], tuple[tuple[int, int, int], ...], int]:
     """Post-order straight-line program for f: (names, steps, root).
@@ -183,8 +185,10 @@ class _Tables:
     it is None until a query with a leading variable asks for it.
 
     ``answers`` maps each formula asked to its first refuting choice of
-    value indices, followed by the first point refuted under it, or None.
-    It keys on the formula's node, so a formula asked of a structure stays
+    value indices, or None.  A frame's answer is followed by the first
+    point refuted under that choice, which ``frame_witness`` reports; an
+    algebra's is not, as its refuted point lies in the dual frame.  It
+    keys on the formula's node, so a formula asked of a structure stays
     interned as long as the structure's tables.
     """
 
@@ -226,18 +230,22 @@ def _trailing_slots(frame: Poset, masks: tuple[int, ...], width: int) -> list[li
 
 
 def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[int, ...] | None:
-    """The first refuting choice of value indices, then its first refuted
-    point; or None.  One sweep per choice of the leading variables, the
-    trailing ones' upsets side by side in the lanes.  Lane order is
-    canonical order, so the lowest refuted lane of the first refuted sweep
-    is the first refutation."""
+    """The first refuting choice of value indices, or None; for a frame
+    swept itself (``tables.frame`` None), followed by its first refuted
+    point.  One sweep per choice of the leading variables, the trailing
+    ones' upsets side by side in the lanes.  Lane order is canonical
+    order, so the lowest refuted lane of the first refuted sweep is the
+    first refutation."""
     names, steps, root = program
     if tables.covers is None:
         tables.covers = upper_covers(frame)
     covers, falsum = tables.covers, [0] * frame.n
+    with_point = tables.frame is None
     if not names:
         forced = _sweep(covers, steps, root, [falsum], 1)
-        return None if all(forced) else (forced.index(0),)
+        if all(forced):
+            return None
+        return (forced.index(0),) if with_point else ()
     masks = tables.values
     count = len(masks)
     width = _lane_width(count, len(names))
@@ -256,8 +264,10 @@ def _frame_refutation(frame: Poset, tables: _Tables, program: tuple) -> tuple[in
         if refuted:
             low = refuted & -refuted  # the first refuted lane's bit
             lane = low.bit_length() - 1
-            point = [lanes & low for lanes in forced].index(0)
-            return (*lead, *[lane // count ** (width - 1 - j) % count for j in range(width)], point)
+            found = (*lead, *[lane // count ** (width - 1 - j) % count for j in range(width)])
+            if with_point:
+                return (*found, [lanes & low for lanes in forced].index(0))
+            return found
     return None
 
 
@@ -286,13 +296,13 @@ def _first_refutation(
         raise CapacityError(
             f"valuation guard: {len(tables.values)}^{len(names)} exceeds {max_valuations}"
         )
-    if f not in tables.answers:
+    found = tables.answers.get(f, _UNASKED)
+    if found is _UNASKED:
         frame = structure if tables.frame is None else tables.frame
-        tables.answers[f] = _frame_refutation(frame, tables, program)
-    found = tables.answers[f]  # value indices, then the point, which zip drops
+        found = tables.answers[f] = _frame_refutation(frame, tables, program)
     if found is None:
         return None
-    if tables.frame is None:  # a frame answers with masks
+    if tables.frame is None:  # a frame answers with masks; zip drops the point
         return {name: tables.values[i] for name, i in zip(names, found)}
     return dict(zip(names, found))
 

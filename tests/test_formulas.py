@@ -1,14 +1,16 @@
-"""Grammar, desugaring, error reporting, print/parse round-trips and
-hash-consing."""
+"""Grammar, desugaring, error reporting, print/parse round-trips,
+hash-consing and the parse memo."""
 
 import copy
 import gc
 import pickle
+import re
 import weakref
 
 import pytest
 from conftest import formulas
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ordsem import formulas as formulas_module
 from ordsem.corpus import IPC_THEOREMS, MIXED_CORPUS, NON_THEOREMS
@@ -26,6 +28,36 @@ from ordsem.formulas import (
     parse,
     pretty,
 )
+from ordsem.order import from_relation
+from ordsem.semantics import theory_contains
+
+_TOKEN = re.compile(r"->|[~&|()]|[a-z][a-zA-Z0-9_]*")
+
+
+@st.composite
+def spellings(draw):
+    """A formula and a text for it: `pretty`'s, with redundant parentheses
+    around the whole, around atoms and around parenthesised subformulas,
+    and random whitespace between the pieces."""
+    ast = draw(formulas(4))
+    extra = st.integers(0, 2)
+    outer = draw(extra)
+    pieces, opened = ["(" * outer], []
+    for token in _TOKEN.findall(pretty(ast)):
+        if token == "(":
+            opened.append(1 + draw(extra))
+            pieces.append("(" * opened[-1])
+        elif token == ")":
+            pieces.append(")" * opened.pop())
+        elif token[0].isalpha():
+            wrap = draw(extra)
+            pieces.append("(" * wrap + token + ")" * wrap)
+        else:
+            pieces.append(token)
+    pieces.append(")" * outer)
+    gap = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n"])
+    gaps = draw(st.lists(gap, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
+    return ast, "".join(gap + piece for gap, piece in zip(gaps, pieces)) + gaps[-1]
 
 
 class TestParse:
@@ -182,3 +214,46 @@ class TestHashConsing:
         gc.collect()
         assert gone() is None
         assert key not in formulas_module._interned
+
+    @given(spellings())
+    def test_a_memo_hit_is_the_node_the_parser_builds(self, spelled):
+        ast, text = spelled
+        f = parse(text)
+        assert parse(text) is f
+        assert formulas_module._parse(text) is f
+        assert f is ast
+
+    def test_an_unreferenced_formula_leaves_the_memo(self):
+        text = "x_memo & ~y_memo -> x_memo"
+        f = parse(text)
+        assert formulas_module._parsed[text] is f
+        assert theory_contains(from_relation(["a"], []), f)  # compiles f
+        assert f.program is not None
+        gone = weakref.ref(f)
+        del f
+        gc.collect()
+        assert gone() is None
+        assert text not in formulas_module._parsed
+        assert parse(text).program is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "p ->", "(p -> q", "p + q", "p q", "p -> )", "p - q",
+            "~" * (MAX_DEPTH + 1) + "p",
+            "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1),
+            "p & " * (MAX_DEPTH + 1) + "p",
+        ],
+        ids=[
+            "empty", "truncated", "unbalanced", "garbage", "trailing", "misplaced", "stray-dash",
+            "too-many-negations", "too-many-parentheses", "too-tall",
+        ],
+    )
+    def test_a_bad_text_raises_alike_every_time_and_is_not_stored(self, text):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            raised.append((str(info.value), info.value.offset, info.value.expected))
+        assert raised[0] == raised[1]
+        assert text not in formulas_module._parsed

@@ -707,6 +707,23 @@ class TestTablesLiveOnTheStructure:
         assert witness == frame_witness(fresh, formula)
         assert witness[1] == r
 
+    @pytest.mark.parametrize(
+        "text",
+        ["bot", "p | ~p", "(p -> q) | (q -> p)", "p | q | r | s | t | ~u"],
+        ids=["no-variable", "one-variable", "two-variables", "a-leading-variable"],
+    )
+    def test_only_a_frame_caches_its_point(self, text):
+        frame, algebra = self.fork_frame(f"point-{text}"), self.fork_algebra(f"point-{text}")
+        formula = parse(text)
+        variables = len(free_vars(formula))
+        assert not theory_contains(algebra, formula)
+        assert len(algebra._tables.answers[formula]) == variables
+        witness = frame_witness(frame, formula)
+        found = frame._tables.answers[formula]
+        assert len(found) == variables + 1
+        assert frame.elements[found[-1]] == witness[1]
+        assert_sweep_matches_reference(frame, formula)
+
     @pytest.mark.parametrize("build", ["fork_frame", "fork_algebra"])
     def test_an_equal_copy_gives_the_same_refutation(self, build):
         structure = getattr(self, build)(f"equal-{build}")
