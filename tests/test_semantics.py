@@ -4,6 +4,7 @@ Countermodel golden values were computed by the independent brute-force
 sweep in `first_refutation` below and then frozen.
 """
 
+import functools
 import gc
 import random
 import time
@@ -13,7 +14,7 @@ from itertools import product
 
 import pytest
 from conftest import formulas
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordsem import semantics
@@ -33,7 +34,7 @@ from ordsem.corpus import (
     NON_THEOREMS,
     parsed,
 )
-from ordsem.errors import CapacityError, InputError, ValuationError
+from ordsem.errors import CapacityError, InputError, OrdsemError, ValuationError
 from ordsem.formulas import And, Bot, Or, Var, free_vars, parse
 from ordsem.order import (
     Poset,
@@ -94,11 +95,16 @@ def reference_witness(frame, formula):
     return None
 
 
+def mask_witness(witness):
+    """A ``frame_witness`` answer with each upset as its mask."""
+    if witness is None:
+        return None
+    valuation, point = witness
+    return {name: upset.mask for name, upset in valuation.items()}, point
+
+
 def assert_sweep_matches_reference(frame, formula):
-    witness = frame_witness(frame, formula)
-    if witness is not None:
-        valuation, point = witness
-        witness = {name: upset.mask for name, upset in valuation.items()}, point
+    witness = mask_witness(frame_witness(frame, formula))
     assert witness == reference_witness(frame, formula), (frame, formula)
 
 
@@ -310,6 +316,26 @@ class TestEvalAlgebra:
     def test_unbound_variable(self, chain2):
         with pytest.raises(ValuationError):
             eval_algebra(parse("p"), upset_algebra(chain2), {})
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [holds_in, lambda algebra, f, valuation: eval_algebra(f, algebra, valuation)],
+        ids=["holds_in", "eval_algebra"],
+    )
+    def test_label_and_variable_errors(self, fork, evaluate):
+        # a missing variable is a ValuationError; an unknown label is an
+        # InputError, on a variable the formula does not use too, and it
+        # is reported before a missing variable
+        algebra = upset_algebra(fork)
+        cases = [
+            ("p -> q", {"p": "{l}"}, ValuationError, "no value for variable 'q'"),
+            ("p", {"p": "{l}", "r": "{nope}"}, InputError, "unknown carrier element '{nope}'"),
+            ("p -> q", {"p": "{l}", "r": "{nope}"}, InputError, "unknown carrier element '{nope}'"),
+        ]
+        for text, valuation, kind, message in cases:
+            with pytest.raises(OrdsemError) as info:
+                evaluate(algebra, parse(text), valuation)
+            assert type(info.value) is kind and str(info.value) == message
 
 
 class TestForces:
@@ -666,6 +692,92 @@ class TestLaneTables:
         assert not theory_contains(frame, parse("bot"))
         assert theory_contains(frame, parse("bot -> bot"))
         assert frame._tables.lanes == {}
+
+
+PLAN_FRAMES = (
+    from_relation("abcde", []),  # 32 upsets: a three-variable query loops a leading variable
+    from_relation("rlk", [("r", "l"), ("r", "k")]),
+    from_relation("abcd", [("a", "b"), ("b", "c"), ("a", "d")]),
+)
+PLAN_TEXTS = (
+    "bot",
+    "bot -> bot",
+    "p | ~p",
+    "~p | ~~p",
+    "(p -> q) | (q -> p)",
+    "~(p & q) -> ~p | ~q",
+    "p -> q | r",
+    "(p -> q) | (q -> r) | (r -> p)",
+    "(p -> r) -> (q -> r) -> p | q -> r",
+)
+
+
+@functools.cache
+def plan_references(index, text):
+    """The one-valuation references' answers on PLAN_FRAMES[index]: the
+    frame witness as (name -> mask, point), and the algebra refutation."""
+    frame, formula = PLAN_FRAMES[index], parse(text)
+    algebra = upset_algebra(frame)
+    return reference_witness(frame, formula), reference_algebra_refutation(algebra, formula)
+
+
+class TestQueryPlans:
+    """One structure answers a mix of 0- to 3-variable queries, each
+    variable count swept by the plan its first query built, as a fresh
+    equal structure and the one-valuation references do, in any order."""
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, len(PLAN_FRAMES) - 1), st.permutations(PLAN_TEXTS))
+    @example(0, PLAN_TEXTS)  # two-variable queries build the width-2 lanes before the rows
+    @example(0, PLAN_TEXTS[::-1])  # a three-variable query builds them with the rows
+    def test_any_order_gives_the_fresh_answers(self, index, texts):
+        frame = PLAN_FRAMES[index]
+        shared_frame, shared_algebra = Poset(frame.elements, frame.up), upset_algebra(frame)
+        for text in texts:
+            formula = parse(text)
+            on_frame, on_algebra = plan_references(index, text)
+            witness = mask_witness(frame_witness(shared_frame, formula))
+            assert witness == mask_witness(frame_witness(Poset(frame.elements, frame.up), formula))
+            assert witness == on_frame, (index, text)
+            found = semantics._first_refutation(shared_algebra, formula, semantics.MAX_VALUATIONS)
+            fresh = upset_algebra(frame)
+            assert found == semantics._first_refutation(fresh, formula, semantics.MAX_VALUATIONS)
+            assert found == on_algebra, (index, text)
+            holds = found is None
+            assert theory_contains(shared_algebra, formula) is holds
+            assert theory_contains(shared_frame, formula) is holds
+        counts = {len(free_vars(parse(text))) for text in texts}
+        for structure in (shared_frame, shared_algebra):
+            tables = structure._tables
+            assert set(tables.plans) == counts
+            assert all(plan[0] is tables.covers for plan in tables.plans.values())
+
+    @pytest.mark.parametrize("query", [theory_contains, frame_witness])
+    def test_a_non_structure_is_refused_alike_before_and_after_queries(self, query):
+        formula = parse("p -> q")
+        others = [42, None, "abc", {"elements": ["a"], "leq": []}, formula]
+        frame = from_relation(["ns-r", "ns-l", "ns-k"], [("ns-r", "ns-l"), ("ns-r", "ns-k")])
+        # nothing asked yet, then a cold query, then one that reads its plan
+        for asked in (None, "(p -> q) | (q -> p)", "p & q -> q"):
+            if asked is not None:
+                theory_contains(frame, parse(asked))
+            for other in others:
+                with pytest.raises(InputError) as info:
+                    query(other, formula)
+                assert str(info.value) == f"cannot compute a theory over {type(other).__name__}"
+        assert set(frame._tables.plans) == {2}
+
+    def test_a_guard_failure_after_a_cached_plan_adds_nothing(self):
+        frame = from_relation(["gp-a", "gp-b", "gp-c", "gp-d", "gp-e"], [])  # 32 upsets
+        assert theory_contains(frame, parse("(p -> q) | (q -> p)"))
+        tables = frame._tables
+        lanes, plans, answers = dict(tables.lanes), dict(tables.plans), dict(tables.answers)
+        with pytest.raises(CapacityError, match=r"valuation guard: 32\^2 exceeds 1023"):
+            theory_contains(frame, parse("p & q -> q"), max_valuations=1023)
+        with pytest.raises(CapacityError, match=r"valuation guard: 32\^3 exceeds 32767"):
+            frame_witness(frame, parse("p -> q | r"), max_valuations=32767)
+        assert tables.lanes == lanes and tables.plans == plans and tables.answers == answers
+        assert all(tables.lanes[w] is lanes[w] for w in lanes)
 
 
 class TestTablesLiveOnTheStructure:
