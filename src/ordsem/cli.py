@@ -15,7 +15,9 @@ import sys
 import traceback
 
 from . import brouwer, documents, dot, morphism, muchnik, order, semantics, splitting
-from .errors import InputError, InvariantViolation, OrdsemError, Report, StagingError
+from .errors import (
+    CapacityError, InputError, InvariantViolation, OrdsemError, Report, StagingError,
+)
 from .formulas import parse, pretty
 
 
@@ -152,6 +154,8 @@ def cmd_split(args: argparse.Namespace) -> int:
         model = splitting.SyntheticAntichainModel(seed=args.seed)
         report = splitting.verify_splitting_class(model, args.depth)
         return _report_exit(report, args.json, f"splitting-class depth={args.depth}")
+    if args.height > semantics.MAX_TREE_HEIGHT:  # the packaged map's target, refused before the build
+        raise CapacityError(f"tree height guard: {args.height} > {semantics.MAX_TREE_HEIGHT}")
     if args.trace is not None:  # an unwritable path fails before the build, not after it
         documents.write(args.trace, "")
     model = splitting.SyntheticAntichainModel(seed=args.seed)

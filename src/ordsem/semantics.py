@@ -8,19 +8,22 @@ formula is compiled once, its program is the only form evaluated, and
 it is stored on the formula's (interned) node, so it lives exactly as
 long as the formula.
 
-A theory query sweeps a frame: an algebra's is its dual frame M, since a
-finite Brouwer algebra is the algebra of upsets of its meet-irreducibles
-(Birkhoff; Esakia).  A sweep holds one bit per lane at every point, and
-a lane is one choice of upsets for as many trailing variables as keep
-the lane count within ``_MAX_LANES``: every two-variable query on a
-structure of at most 90 values is one sweep, run per choice of the
-remaining leading variables.  Implication reads each point's upper
-covers, so a tall dual, a chain algebra's, stays linear.  Each structure
-keeps on itself, as long as it lives, its answers and one sweep plan per
-variable count, built by the first query with that many variables: a
-query asked before is one lookup, and any other is one lookup of its plan
-and its sweeps (about 5.6 us on a poset of at most five points or on its
-algebra, CPython 3.11 on a 2-core x86 host).
+A theory query sweeps a frame: a frame itself, an algebra its dual frame
+M, since a finite Brouwer algebra is the algebra of upsets of its
+meet-irreducibles (Birkhoff; Esakia).  So every structure keeps the same
+tables, and every answer has one shape: the first refuting choice of
+values, then the first point of the swept frame it refutes.  A sweep
+holds one bit per lane at every point, and a lane is one choice of upsets
+for as many trailing variables as keep the lane count within
+``_MAX_LANES``: every two-variable query on a structure of at most 90
+values is one sweep, run per choice of the remaining leading variables.
+Implication reads each point's upper covers, so a tall dual, a chain
+algebra's, stays linear.  Each structure keeps on itself, as long as it
+lives, its answers and one sweep plan per variable count, built by the
+first query with that many variables: a query asked before is one lookup,
+and any other is one lookup of its plan and its sweeps (about 5.6 us on a
+poset of at most five points or on its algebra, CPython 3.11 on a 2-core
+x86 host).
 
 Validity over the full binary trees of bounded height decides IPC
 membership in the refutation direction: a countermodel on some 2^{<k}
@@ -104,14 +107,6 @@ def _values(names: tuple[str, ...], env: Mapping[str, int]) -> list[int]:
         raise ValuationError(f"no value for variable {exc.args[0]!r}") from None
 
 
-def _run(steps: tuple, root: int, slots: list[int], tables: tuple) -> int:
-    """Run a program through an algebra's tables from its filled variable
-    and falsum slots."""
-    for op, a, b in steps:
-        slots.append(tables[op][slots[a]][slots[b]])
-    return slots[root]
-
-
 def _sweep(
     covers: list[tuple[int, int]], steps: tuple, root: int, slots: list[list[int]], ones: int
 ) -> list[int]:
@@ -143,7 +138,10 @@ def _sweep(
 def _evaluate(algebra: BrouwerAlgebra, f: Formula, env: Mapping[str, int]) -> int:
     names, steps, root = _compile(f)
     tables = (algebra.join, algebra.meet, algebra.impl)
-    return _run(steps, root, [*_values(names, env), algebra.top], tables)
+    slots = [*_values(names, env), algebra.top]
+    for op, a, b in steps:
+        slots.append(tables[op][slots[a]][slots[b]])
+    return slots[root]
 
 
 def _indices(algebra: BrouwerAlgebra, valuation: Mapping[str, str]) -> dict[str, int]:
@@ -186,41 +184,32 @@ def forces(frame: Poset, point: str, valuation: Mapping[str, Upset], f: Formula)
 
 
 class _Tables:
-    """One structure's sweep tables and answers, held as its ``_tables``.
+    """One structure's sweep tables and answers, held as its ``_tables``,
+    built from the frame it sweeps: a frame itself, an algebra its dual.
 
-    ``frame`` is an algebra's dual frame, or None for a frame, which is
-    swept itself (holding it would be a reference cycle).  ``values`` lists
-    the upsets a variable ranges over in canonical order: ascending masks,
-    or the algebra's elements' upsets by carrier index.
+    ``n`` counts the swept frame's points and ``covers`` is its
+    ``upper_covers``; the frame itself is not held, since a frame's tables
+    holding the frame would be a reference cycle.  ``values`` lists the upsets a variable ranges
+    over in canonical order: ascending masks, or the algebra's elements'
+    upsets by carrier index.  ``plans`` maps a variable count k to the
+    plan every k-variable query sweeps with (see ``_plan``), built by the
+    first such query that passed the valuation guard.
 
-    ``plans`` maps a variable count k to the plan every k-variable query
-    sweeps with (see ``_plan``), built by the first such query that passed
-    the valuation guard; a later one reads it with one lookup.  Plans share
-    ``covers`` (``upper_covers`` of the frame) and ``lanes``, which maps a
-    lane width d to (trailing, rows).  ``trailing`` holds the last d
-    variables' slots, most significant first: bit c of ``trailing[j][x]``
-    says whether point x lies in the upset lane c gives the j-th of them.
-    ``rows[i]`` is the slot of a leading variable valued by the i-th
-    upset, in every lane; it is None until a query with a leading variable
-    asks for it.
-
-    ``answers`` maps each formula asked to its first refuting choice of
-    value indices, or None.  A frame's answer is followed by the first
-    point refuted under that choice, which ``frame_witness`` reports; an
-    algebra's is not, as its refuted point lies in the dual frame.  It
-    keys on the formula's node, so a formula asked of a structure stays
-    interned as long as the structure's tables.
+    ``answers`` maps each formula asked to None, if it holds, or else to
+    its first refuting choice of value indices followed by the first point
+    of the swept frame refuted under that choice.  It keys on the
+    formula's node, so a formula asked of a structure stays interned as
+    long as the structure's tables.
     """
 
-    __slots__ = ("frame", "values", "answers", "plans", "covers", "lanes")
+    __slots__ = ("n", "values", "covers", "plans", "answers")
 
-    def __init__(self, frame: Poset | None, values: tuple[int, ...]):
-        self.frame = frame
+    def __init__(self, frame: Poset, values: tuple[int, ...]):
+        self.n = frame.n
         self.values = values
-        self.answers: dict[Formula, tuple[int, ...] | None] = {}
+        self.covers = upper_covers(frame)
         self.plans: dict[int, tuple] = {}
-        self.covers: list[tuple[int, int]] | None = None
-        self.lanes: dict[int, tuple[list[list[int]], list[list[int]] | None]] = {}
+        self.answers: dict[Formula, tuple[int, ...] | None] = {}
 
 
 def _lane_width(count: int, variables: int) -> int:
@@ -233,58 +222,44 @@ def _lane_width(count: int, variables: int) -> int:
     return width
 
 
-def _trailing_slots(frame: Poset, masks: tuple[int, ...], width: int) -> list[list[int]]:
-    """The last ``width`` variables' slots.  Lane c spells their upsets'
-    indices in base len(masks), most significant first, so variable j's
-    index holds for a block of len(masks)**(width-1-j) lanes, and the
-    blocks of all its upsets repeat len(masks)**j times."""
-    count, points = len(masks), range(frame.n)
-    slots = []
-    for j in range(width):
+def _plan(tables: _Tables, variables: int) -> tuple:
+    """The plan every query of ``variables`` variables sweeps with, stored
+    in ``tables.plans``: (covers, ones, count, width, rows, pools, fixed).
+
+    Each variable ranges over ``count`` upsets, and the last ``width``
+    share the ``ones`` lanes.  Lane c spells their upsets' indices in base
+    ``count``, most significant first, so bit c of the j-th one's slot at
+    point x says whether x lies in the upset lane c gives it.  ``fixed``
+    holds those slots and falsum's.  ``rows[i]`` is the slot of a leading
+    variable valued by the i-th upset, in every lane, built only when a
+    variable leads, and ``pools`` holds ``rows`` once per leading variable.
+    """
+    masks, points = tables.values, range(tables.n)
+    count = len(masks)
+    width = _lane_width(count, variables)
+    ones = (1 << count**width) - 1
+    fixed = []
+    for j in range(width):  # j's index holds for count**(width-1-j) lanes, count**j times
         block, cycles = count ** (width - 1 - j), count**j
         one, zero = "1" * block, "0" * block
-        slots.append([
+        fixed.append([
             int("".join([one if mask >> x & 1 else zero for mask in reversed(masks)]) * cycles, 2)
             for x in points
         ])
-    return slots
-
-
-def _plan(frame: Poset, tables: _Tables, variables: int) -> tuple:
-    """The plan every query of ``variables`` variables sweeps the frame
-    with, stored in ``tables.plans``: (covers, ones, count, width, rows,
-    pools, fixed).  Each variable ranges over ``count`` upsets, and the last
-    ``width`` share the ``ones`` lanes.  ``pools`` holds ``rows`` once per
-    leading variable, and ``fixed`` is the trailing slots and falsum's."""
-    if tables.covers is None:
-        tables.covers = upper_covers(frame)
-    masks = tables.values
-    count = len(masks)
-    width = _lane_width(count, variables)
+    fixed.append([0] * tables.n)
     leading = variables - width
-    ones = (1 << count**width) - 1
-    trailing, rows = tables.lanes.get(width, (None, None))
-    if trailing is None:
-        trailing = _trailing_slots(frame, masks, width)
-    if leading and rows is None:
-        rows = [[ones if mask >> x & 1 else 0 for x in range(frame.n)] for mask in masks]
-    if width:
-        tables.lanes[width] = trailing, rows
-    plan = tables.plans[variables] = (
-        tables.covers, ones, count, width, rows, (rows,) * leading, [*trailing, [0] * frame.n]
-    )
+    rows = [[ones if mask >> x & 1 else 0 for x in points] for mask in masks] if leading else None
+    plan = (tables.covers, ones, count, width, rows, (rows,) * leading, fixed)
+    tables.plans[variables] = plan
     return plan
 
 
-def _frame_refutation(
-    plan: tuple, steps: tuple, root: int, with_point: bool
-) -> tuple[int, ...] | None:
-    """The first refuting choice of value indices, or None; ``with_point``
-    (for a frame swept itself), followed by its first refuted point.  One
-    sweep per choice of the leading variables' rows, the trailing ones'
-    upsets side by side in the lanes.  Lane order is canonical order, so
-    the lowest refuted lane of the first refuted sweep is the first
-    refutation."""
+def _frame_refutation(plan: tuple, steps: tuple, root: int) -> tuple[int, ...] | None:
+    """The first refuting choice of value indices followed by the first
+    point refuted under it, or None.  One sweep per choice of the leading
+    variables' rows, the trailing ones' upsets side by side in the lanes.
+    Lane order is canonical order, so the lowest refuted lane of the first
+    refuted sweep is the first refutation."""
     covers, ones, count, width, rows, pools, fixed = plan
     for lead in product(*pools):
         forced = _sweep(covers, steps, root, [*lead, *fixed], ones)
@@ -292,13 +267,11 @@ def _frame_refutation(
         if refuted:
             low = refuted & -refuted  # the first refuted lane's bit
             lane = low.bit_length() - 1
-            found = (
+            return (
                 *[rows.index(row) for row in lead],  # distinct upsets have distinct rows
                 *[lane // count ** (width - 1 - j) % count for j in range(width)],
+                [lanes & low for lanes in forced].index(0),
             )
-            if with_point:
-                return (*found, [lanes & low for lanes in forced].index(0))
-            return found
     return None
 
 
@@ -309,9 +282,9 @@ def _answer(
     ``_Tables.answers``), swept on a miss.
 
     Canonical order is the product, over the sorted variable names, of the
-    carrier indices (algebra) or the ascending upset masks (frame).  Both
-    are swept by ``_frame_refutation``, an algebra on its dual frame with
-    the upsets in carrier order, so it reads only the join table's order;
+    value indices: ascending upset masks (frame) or carrier indices
+    (algebra).  An algebra is swept on its dual frame with the upsets in
+    carrier order, so it reads only the join table's order;
     ``verify_brouwer`` checks that ``meet`` and ``impl`` fit it.  The guard
     holds for cached answers too.  The structure's type is checked only
     when its tables are built.
@@ -320,8 +293,10 @@ def _answer(
     if tables is None:
         if not isinstance(structure, (BrouwerAlgebra, Poset)):
             raise InputError(f"cannot compute a theory over {type(structure).__name__}")
-        built = (None, upset_masks(structure)) if isinstance(structure, Poset) else _dual(structure)
-        tables = _Tables(*built)
+        if isinstance(structure, Poset):
+            tables = _Tables(structure, upset_masks(structure))
+        else:
+            tables = _Tables(*_dual(structure))
         object.__setattr__(structure, "_tables", tables)  # lives as long as the structure
     names, steps, root = _compile(f)
     variables = len(names)
@@ -331,24 +306,9 @@ def _answer(
         )
     found = tables.answers.get(f, _UNASKED)
     if found is _UNASKED:
-        plan = tables.plans.get(variables)
-        if plan is None:
-            plan = _plan(structure if tables.frame is None else tables.frame, tables, variables)
-        found = tables.answers[f] = _frame_refutation(plan, steps, root, tables.frame is None)
+        plan = tables.plans.get(variables) or _plan(tables, variables)
+        found = tables.answers[f] = _frame_refutation(plan, steps, root)
     return tables, names, found
-
-
-def _first_refutation(
-    structure: Structure, f: Formula, max_valuations: int
-) -> dict[str, int] | None:
-    """First valuation in canonical order under which f is not designated:
-    variable to carrier index (algebra) or upset mask (frame)."""
-    tables, names, found = _answer(structure, f, max_valuations)
-    if found is None:
-        return None
-    if tables.frame is None:  # a frame answers with masks; zip drops the point
-        return {name: tables.values[i] for name, i in zip(names, found)}
-    return dict(zip(names, found))
 
 
 def theory_contains(structure: Structure, f: Formula, *, max_valuations: int = MAX_VALUATIONS) -> bool:
@@ -366,13 +326,17 @@ def theory_contains(structure: Structure, f: Formula, *, max_valuations: int = M
 def frame_witness(
     frame: Poset, f: Formula, *, max_valuations: int = MAX_VALUATIONS
 ) -> tuple[dict[str, Upset], str] | None:
-    """First refuting (valuation, point) in canonical order, or None.  The
-    point is the one the sweep stored with its answer, not searched for."""
-    env = _first_refutation(frame, f, max_valuations)
-    if env is None:
+    """First refuting (valuation, point) in canonical order, or None: the
+    stored answer, decoded.  An algebra has no points of its own, so it is
+    refused (``InputError``)."""
+    if isinstance(frame, BrouwerAlgebra):
+        raise InputError("cannot compute a frame witness over BrouwerAlgebra")
+    tables, names, found = _answer(frame, f, max_valuations)
+    if found is None:
         return None
-    valuation = {name: Upset(frame, mask) for name, mask in env.items()}
-    return valuation, frame.elements[frame._tables.answers[f][-1]]
+    *choice, point = found
+    valuation = {name: Upset(frame, tables.values[i]) for name, i in zip(names, choice)}
+    return valuation, frame.elements[point]
 
 
 def binary_tree_frame(height: int) -> Poset:

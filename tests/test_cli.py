@@ -325,6 +325,17 @@ class TestSplit:
         else:
             assert "incomplete" in captured.out
 
+    def test_tree_height_guard_comes_before_the_build(self, tmp_path, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("build_pmorphism was called")
+
+        monkeypatch.setattr(splitting, "build_pmorphism", never)
+        trace = tmp_path / "trace.ndjson"
+        argv = ["split", "build", "--height", "11", "--steps", "1600", "--seed", "1"]
+        assert main([*argv, "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == "error: tree height guard: 11 > 10\n"
+        assert not trace.exists()
+
     def test_deterministic_output(self, capsys):
         main(["split", "build", "--height", "3", "--steps", "24", "--seed", "3"])
         first = capsys.readouterr().out

@@ -44,6 +44,7 @@ from ordsem.order import (
     from_relation,
     generate_posets,
     random_posets,
+    upper_covers,
     upset_masks,
     upward_closure,
 )
@@ -123,9 +124,33 @@ def reference_algebra_refutation(algebra, formula):
     return None
 
 
+def stored_refutation(structure, formula, max_valuations=semantics.MAX_VALUATIONS):
+    """The answer the structure stores for the formula, as (name -> value
+    index, index of the refuted point of the swept frame), or None."""
+    _, names, found = semantics._answer(structure, formula, max_valuations)
+    if found is None:
+        return None
+    *choice, point = found
+    return dict(zip(names, choice)), point
+
+
 def assert_lanes_match_reference(algebra, formula):
-    found = semantics._first_refutation(algebra, formula, semantics.MAX_VALUATIONS)
-    assert found == reference_algebra_refutation(algebra, formula), (algebra.carrier, formula)
+    """The stored choice is the fold's, and its point is the first one of
+    the dual frame that forcing under that choice misses."""
+    found = stored_refutation(algebra, formula)
+    env = None if found is None else found[0]
+    assert env == reference_algebra_refutation(algebra, formula), (algebra.carrier, formula)
+    if found is not None:
+        dual, values = semantics._dual(algebra)
+        valuation = {name: Upset(dual, values[i]) for name, i in env.items()}
+        missed = dual.full_mask & ~forced_upset(dual, valuation, formula).mask
+        assert missed & -missed == 1 << found[1], (algebra.carrier, formula)
+
+
+def plan_shapes(structure):
+    """Each stored plan's lane width, and whether it built leading rows,
+    by variable count."""
+    return {k: (plan[3], plan[4] is not None) for k, plan in structure._tables.plans.items()}
 
 
 def order_algebra(labels, pairs):
@@ -243,10 +268,11 @@ def remembering_ipc_check(formula, max_height, max_valuations=semantics.MAX_VALU
         if any(not p >> root & 1 for p in current):
             frame = prefix_tree(k)
             try:
-                env = semantics._first_refutation(frame, formula, max_valuations)
+                env, _ = stored_refutation(frame, formula, max_valuations)
             except CapacityError as exc:
                 return str(exc), levels
-            valuation = {name: Upset(frame, mask) for name, mask in env.items()}
+            masks = upset_masks(frame)
+            valuation = {name: Upset(frame, masks[i]) for name, i in env.items()}
             forced = forced_upset(frame, valuation, formula).mask
             point = next(i for i in range(frame.n) if not forced >> i & 1)
             return Countermodel(formula, frame, valuation, frame.elements[point], k), levels
@@ -387,6 +413,12 @@ class TestTheory:
         assert point == "a"
         assert valuation["p"].members == ("b",)
 
+    @pytest.mark.parametrize("text", ["p | ~p", "p -> p"], ids=["refuted", "valid"])
+    def test_frame_witness_refuses_an_algebra(self, fork, text):
+        # an algebra's refuted point lies in its dual frame, not in the algebra
+        with pytest.raises(InputError, match="^cannot compute a frame witness over BrouwerAlgebra$"):
+            frame_witness(upset_algebra(fork), parse(text))
+
     def test_algebra_and_frame_agree_small(self):
         corpus = parsed(MIXED_CORPUS)
         for poset in generate_posets(3):
@@ -498,7 +530,7 @@ class TestFrameSweepDifferential:
         for frame in frames:
             for formula in parsed(MIXED_CORPUS):
                 assert_sweep_matches_reference(frame, formula)
-            assert set(frame._tables.lanes) == {1, 2}
+            assert plan_shapes(frame) == {0: (0, False), 1: (1, False), 2: (2, False)}
 
     def test_three_variables_share_the_lanes(self):
         # at most 20 upsets: 20^3 = 8,000 lanes, one sweep per formula
@@ -507,8 +539,7 @@ class TestFrameSweepDifferential:
         for frame in frames:
             for formula in self.THREE_VARIABLES:
                 assert_sweep_matches_reference(frame, formula)
-            assert max(frame._tables.lanes) == 3
-            assert all(rows is None for _, rows in frame._tables.lanes.values())
+            assert plan_shapes(frame) == {3: (3, False)}
 
     def test_past_the_lane_bound(self):
         # 677 upsets: 677^2 exceeds the bound, so the last variable has the
@@ -516,7 +547,7 @@ class TestFrameSweepDifferential:
         tree = binary_tree_frame(4)
         for formula in parsed(NON_THEOREMS):
             assert_sweep_matches_reference(tree, formula)
-        assert set(tree._tables.lanes) == {1}
+        assert plan_shapes(tree) == {0: (0, False), 1: (1, False), 2: (1, True)}
 
     @settings(deadline=None, max_examples=150)
     @given(formulas(3), st.integers(0, 39))
@@ -647,25 +678,29 @@ class TestFactorsAsSubframes:
 
 
 class TestLaneTables:
-    """Each structure's sweep tables are built once, and only when a query
-    that passed the valuation guard needs them."""
+    """Each structure's plans are built once per variable count, and only
+    when a query that passed the valuation guard needs one; they share the
+    structure's covers."""
 
     def test_tables_are_kept_per_frame(self):
         frame = from_relation("abcdefg", [("a", "b"), ("a", "c")])  # 80 upsets
         assert not theory_contains(frame, parse("(p -> q) | (q -> p)"))
         tables = frame._tables
         covers = tables.covers
-        ((width, (trailing, rows)),) = tables.lanes.items()
-        assert width == 2 and len(trailing) == 2 and rows is None
+        assert covers == upper_covers(frame)
+        assert plan_shapes(frame) == {2: (2, False)}
+        plan = tables.plans[2]
+        assert len(plan[6]) == 3  # two trailing slots and falsum's
         assert not theory_contains(frame, parse("~p | ~~p | q"))
         assert not theory_contains(frame, parse("(q -> r) | p | ~p"))
-        assert tables.covers is covers and tables.lanes[2][0] is trailing
-        rows = tables.lanes[2][1]  # the three-variable query's leading rows
+        assert plan_shapes(frame) == {2: (2, False), 3: (2, True)}
+        rows = tables.plans[3][4]  # the three-variable query's leading rows
         assert len(rows) == len(tables.values) == 80
         assert not theory_contains(frame, parse("(p -> q) | (q -> r) | r"))
         assert not theory_contains(frame, parse("(p -> q) | q"))
-        assert tables.lanes[2][0] is trailing and tables.lanes[2][1] is rows
-        assert set(tables.lanes) == {2}
+        assert tables.plans[2] is plan and tables.plans[3][4] is rows
+        assert tables.covers is covers
+        assert all(each[0] is covers for each in tables.plans.values())
 
     def test_one_variable_query_builds_no_rows(self):
         # 16 points, 65,536 upsets: rows would be 65,536 lists of 16 ints
@@ -674,24 +709,28 @@ class TestLaneTables:
         assert frame_witness(wide, parse("p")) is not None
         tables = wide._tables
         assert len(tables.values) == 1 << 16
-        ((width, (trailing, rows)),) = tables.lanes.items()
-        assert width == 1 and len(trailing) == 1 and rows is None
+        assert plan_shapes(wide) == {1: (1, False)}
+        plan = tables.plans[1]
+        assert len(plan[6]) == 2  # one trailing slot and falsum's
         with pytest.raises(CapacityError, match=r"valuation guard: 65536\^2"):
             theory_contains(wide, parse("p -> q"))
-        assert tables.lanes == {1: (trailing, None)}
+        assert tables.plans == {1: plan}
 
     def test_guard_comes_before_any_table(self):
         frame = from_relation("abcdefg", [("a", "b")])  # 96 upsets
         with pytest.raises(CapacityError, match=r"valuation guard: 96\^2 exceeds 9215"):
             theory_contains(frame, parse("p -> q"), max_valuations=9215)
         tables = frame._tables
-        assert tables.covers is None and tables.lanes == {}
+        assert tables.plans == {} and tables.answers == {}
 
     def test_no_variable_query_builds_no_lanes(self):
         frame = from_relation(["u0", "u1", "u2"], [("u0", "u1")])  # asked nothing else
         assert not theory_contains(frame, parse("bot"))
         assert theory_contains(frame, parse("bot -> bot"))
-        assert frame._tables.lanes == {}
+        assert plan_shapes(frame) == {0: (0, False)}
+        _, ones, _, _, _, pools, fixed = frame._tables.plans[0]
+        assert ones == 1 and pools == () and fixed == [[0, 0, 0]]  # one lane, falsum's slot only
+        assert frame._tables.answers[parse("bot")] == (0,)  # refuted at u0, the first point
 
 
 PLAN_FRAMES = (
@@ -728,8 +767,8 @@ class TestQueryPlans:
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, len(PLAN_FRAMES) - 1), st.permutations(PLAN_TEXTS))
-    @example(0, PLAN_TEXTS)  # two-variable queries build the width-2 lanes before the rows
-    @example(0, PLAN_TEXTS[::-1])  # a three-variable query builds them with the rows
+    @example(0, PLAN_TEXTS)  # the two-variable plan first, then the three-variable one's rows
+    @example(0, PLAN_TEXTS[::-1])  # the three-variable plan, with its rows, first
     def test_any_order_gives_the_fresh_answers(self, index, texts):
         frame = PLAN_FRAMES[index]
         shared_frame, shared_algebra = Poset(frame.elements, frame.up), upset_algebra(frame)
@@ -739,10 +778,9 @@ class TestQueryPlans:
             witness = mask_witness(frame_witness(shared_frame, formula))
             assert witness == mask_witness(frame_witness(Poset(frame.elements, frame.up), formula))
             assert witness == on_frame, (index, text)
-            found = semantics._first_refutation(shared_algebra, formula, semantics.MAX_VALUATIONS)
-            fresh = upset_algebra(frame)
-            assert found == semantics._first_refutation(fresh, formula, semantics.MAX_VALUATIONS)
-            assert found == on_algebra, (index, text)
+            found = stored_refutation(shared_algebra, formula)
+            assert found == stored_refutation(upset_algebra(frame), formula)
+            assert (None if found is None else found[0]) == on_algebra, (index, text)
             holds = found is None
             assert theory_contains(shared_algebra, formula) is holds
             assert theory_contains(shared_frame, formula) is holds
@@ -771,13 +809,13 @@ class TestQueryPlans:
         frame = from_relation(["gp-a", "gp-b", "gp-c", "gp-d", "gp-e"], [])  # 32 upsets
         assert theory_contains(frame, parse("(p -> q) | (q -> p)"))
         tables = frame._tables
-        lanes, plans, answers = dict(tables.lanes), dict(tables.plans), dict(tables.answers)
+        plans, answers = dict(tables.plans), dict(tables.answers)
         with pytest.raises(CapacityError, match=r"valuation guard: 32\^2 exceeds 1023"):
             theory_contains(frame, parse("p & q -> q"), max_valuations=1023)
         with pytest.raises(CapacityError, match=r"valuation guard: 32\^3 exceeds 32767"):
             frame_witness(frame, parse("p -> q | r"), max_valuations=32767)
-        assert tables.lanes == lanes and tables.plans == plans and tables.answers == answers
-        assert all(tables.lanes[w] is lanes[w] for w in lanes)
+        assert tables.plans == plans and tables.answers == answers
+        assert all(tables.plans[k] is plans[k] for k in plans)
 
 
 class TestTablesLiveOnTheStructure:
@@ -824,30 +862,31 @@ class TestTablesLiveOnTheStructure:
         ["bot", "p | ~p", "(p -> q) | (q -> p)", "p | q | r | s | t | ~u"],
         ids=["no-variable", "one-variable", "two-variables", "a-leading-variable"],
     )
-    def test_only_a_frame_caches_its_point(self, text):
+    def test_every_answer_ends_in_its_point(self, text):
+        # a frame's point is its own, an algebra's is its dual frame's
         frame, algebra = self.fork_frame(f"point-{text}"), self.fork_algebra(f"point-{text}")
         formula = parse(text)
         variables = len(free_vars(formula))
         assert not theory_contains(algebra, formula)
-        assert len(algebra._tables.answers[formula]) == variables
         witness = frame_witness(frame, formula)
-        found = frame._tables.answers[formula]
-        assert len(found) == variables + 1
-        assert frame.elements[found[-1]] == witness[1]
+        for structure in (frame, algebra):
+            assert len(structure._tables.answers[formula]) == variables + 1
+        assert frame.elements[frame._tables.answers[formula][-1]] == witness[1]
         assert_sweep_matches_reference(frame, formula)
+        assert_lanes_match_reference(algebra, formula)
 
     @pytest.mark.parametrize("build", ["fork_frame", "fork_algebra"])
     def test_an_equal_copy_gives_the_same_refutation(self, build):
         structure = getattr(self, build)(f"equal-{build}")
         kind, fields = type(structure), astuple(structure)
-        first = semantics._first_refutation(structure, self.FORMULA, semantics.MAX_VALUATIONS)
+        first = stored_refutation(structure, self.FORMULA)
         gone = weakref.ref(structure)
         del structure
         gc.collect()
         assert gone() is None
         copy = kind(*fields)
         assert not hasattr(copy, "_tables")
-        again = semantics._first_refutation(copy, self.FORMULA, semantics.MAX_VALUATIONS)
+        again = stored_refutation(copy, self.FORMULA)
         assert first is not None and again == first
 
 
