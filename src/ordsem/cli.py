@@ -235,7 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theory)
 
-    p = sub.add_parser("ipc", help="bounded IPC membership over binary trees")
+    p = sub.add_parser(
+        "ipc",
+        help="refute IPC on binary trees 2^{<k}; at its fixpoint the check has decided "
+        "the finite binary trees' logic, which contains bb2 and is not IPC",
+    )
     p.add_argument("formula")
     p.add_argument("--max-height", type=int, required=True)
     p.add_argument("--json", action="store_true")

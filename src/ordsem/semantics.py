@@ -1,4 +1,4 @@
-"""Algebraic evaluation, Kripke forcing, theories, bounded IPC decision.
+"""Algebraic evaluation, Kripke forcing, theories, bounded binary-tree checks.
 
 A formula holds in a Brouwer algebra when it evaluates to 0: conjunction
 lands on the lattice join, disjunction on the meet and falsum on 1.  On a
@@ -25,12 +25,14 @@ and any other is one lookup of its plan and its sweeps (about 5.6 us on a
 poset of at most five points or on its algebra, CPython 3.11 on a 2-core
 x86 host).
 
-Validity over the full binary trees of bounded height decides IPC
-membership in the refutation direction: a countermodel on some 2^{<k}
-proves non-membership, while "valid up to the bound" is exactly that.
-The decision closes sets of forced program slots ("profiles") level by
-level up the tree, under the caller's valuation budget, until a level
-equals the previous one, as levels only grow.
+Validity over the full binary trees of bounded height refutes IPC
+membership: a countermodel on some 2^{<k} proves non-membership, while
+"valid up to the bound" is exactly that.  The check closes sets of forced
+program slots ("profiles") level by level up the tree, under the caller's
+valuation budget, until a level equals the previous one, as levels only
+grow.  At that fixpoint the closure has decided the logic of the finite
+binary trees, which is not IPC: it contains Gabbay and de Jongh's bb2,
+which fails at the root of the three-leaf fork.
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ import random
 from abc import ABC, abstractmethod
 from collections import deque
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InputError, InvariantViolation, Report, StagingError
+from .errors import CapacityError, InputError, InvariantViolation, Report, StagingError
 from .morphism import PMorphism
 from .order import Poset
 from .semantics import binary_tree_frame
@@ -34,6 +34,8 @@ Seq = tuple[int, ...]
 Antichain = frozenset[Seq]
 
 _SHUFFLE_WINDOW = 5  # a seeded model's delivery window
+MAX_BUILD_STEPS = 4096  # build_pmorphism's steps; 1,600 reach 2^{<8}
+MAX_VERIFY_DEPTH = 64  # verify_splitting_class's window; its splits grow as depth**4
 
 
 class SplittingStructure(ABC):
@@ -147,21 +149,24 @@ class SyntheticAntichainModel(SplittingStructure):
         return isinstance(x, frozenset) and len(x) == 1
 
     def leq(self, a: Antichain, b: Antichain) -> bool:
-        # the construction's hottest call: is_prefix written out for singletons
-        if len(a) == 1 == len(b):
+        # the construction's hottest call: is_prefix written out for singletons,
+        # which the unpack tells apart from every other antichain by raising
+        try:
             (s,), (t,) = a, b
-            return t[: len(s)] == s
-        return all(any(is_prefix(s, t) for t in b) for s in a)
+        except ValueError:
+            return all(any(is_prefix(s, t) for t in b) for s in a)
+        return t[: len(s)] == s
 
     def join(self, a: Antichain, b: Antichain) -> Antichain:
         return reduce_antichain(a | b)
 
     def joins_in_class(self, a: Antichain, b: Antichain) -> bool:
         # {s} and {t} join to a singleton exactly when one sequence extends the other
-        if len(a) == 1 == len(b):
+        try:
             (s,), (t,) = a, b
-            return t[: len(s)] == s or s[: len(t)] == t
-        return super().joins_in_class(a, b)
+        except ValueError:
+            return super().joins_in_class(a, b)
+        return t[: len(s)] == s or s[: len(t)] == t
 
     def _extensions(self, f: Antichain, avoid: frozenset, count: int) -> list[Antichain]:
         """The first `count` one-letter extensions of f by a letter that no
@@ -169,17 +174,18 @@ class SyntheticAntichainModel(SplittingStructure):
         if not self.in_class(f):
             raise InputError(f"split called on non-class element {antichain_label(f)}")
         (s,) = f
+        n = len(s)
         excluded = set()
         for g in avoid:
-            if not self.in_class(g):
+            if not isinstance(g, frozenset) or len(g) != 1:  # in_class, inline
                 raise InputError(f"avoid set holds non-class element {antichain_label(g)}")
             (t,) = g
             if s[: len(t)] == t:  # g <= f: t is a prefix of s
                 raise InputError(
                     f"avoid set holds {antichain_label(g)} <= {antichain_label(f)}"
                 )
-            if len(t) > len(s) and t[: len(s)] == s:
-                excluded.add(t[len(s)])
+            if len(t) > n and t[:n] == s:
+                excluded.add(t[n])
         fresh = (m for m in itertools.count() if m not in excluded)
         out: list[Antichain] = [frozenset({s + (next(fresh),)}) for _ in range(count)]
         for h in out:
@@ -266,13 +272,16 @@ def _split_clauses(
     checked += 1
     if structure.joins_in_class(h0, h1):
         violations.append("join(h0, h1) stays in the class")
+    joins_in_class = structure.joins_in_class
     for g in avoid:
-        for name, h in (("h0", h0), ("h1", h1)):
-            checked += 1
-            if structure.joins_in_class(g, h):
-                violations.append(
-                    f"join({structure.describe(g)}, {name}) stays in the class"
-                )
+        into0, into1 = joins_in_class(g, h0), joins_in_class(g, h1)
+        if into0 or into1:
+            violations.extend(
+                f"join({structure.describe(g)}, {name}) stays in the class"
+                for name, into in (("h0", into0), ("h1", into1))
+                if into
+            )
+    checked += 2 * len(avoid)
     return Report(checked=checked, violations=tuple(violations))
 
 
@@ -286,6 +295,8 @@ def verify_splitting_class(structure: SplittingStructure, depth: int) -> Report:
     """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
+    if depth > MAX_VERIFY_DEPTH:
+        raise CapacityError(f"verify depth guard: {depth} > {MAX_VERIFY_DEPTH}")
     window = [structure.enumerate(i) for i in range(depth)]
     violations: list[str] = []
     checked = 0
@@ -369,10 +380,13 @@ class PartialHomomorphism:
         for element, image in self._pairs.items():
             self.groups.setdefault(image, []).append(element)
 
-    def place(self, element: object, image: str, stage: str) -> None:
-        """Check a new pair (``check_new_pair``), then record it in ``pairs``,
-        ``groups`` and the trace."""
-        self.check_new_pair(element, image)
+    def place(
+        self, element: object, image: str, stage: str,
+        outside: Container = frozenset(), siblings: tuple = (),
+    ) -> None:
+        """Check a new pair (``check_new_pair``, which reads ``outside`` and
+        ``siblings``), then record it in ``pairs``, ``groups`` and the trace."""
+        self.check_new_pair(element, image, outside, siblings)
         self._pairs[element] = image
         self.groups.setdefault(image, []).append(element)
         element_json = _element_json(self.structure, element)
@@ -380,13 +394,18 @@ class PartialHomomorphism:
             {"stage": stage, "action": "place", "image": image, "element": element_json}
         )
 
-    def _violations(self, ix: str, xs: Sequence, iy: str, ys: Sequence) -> Iterator[str]:
+    def _violations(
+        self, ix: str, xs: Sequence, iy: str, ys: Sequence,
+        outside: Container = frozenset(), siblings: tuple = (),
+    ) -> Iterator[str]:
         """Both invariants on each x in xs (image ix) against each y in ys
         (image iy), lazily, as messages; for one pair, x <= y, then y <= x,
         then the join.  The images' relation is decided once; the oracle is
         asked only what it leaves open: nothing for equal images, the one
         `leq` that must fail when one image is a proper prefix of the other,
-        and both `leq`s and `joins_in_class` when they are incomparable."""
+        and both `leq`s and `joins_in_class` when they are incomparable.
+        The join is not asked for an x in ``outside`` or ``siblings``: the
+        caller already has those answers, all False."""
         if ix == iy:
             return
         s = self.structure
@@ -400,28 +419,41 @@ class PartialHomomorphism:
                         yield _order_broken(s, x, ix, y, iy)
             return
         for x in xs:
+            join_open = x not in outside and x not in siblings
             for y in ys:
                 if leq(x, y):
                     yield _order_broken(s, x, ix, y, iy)
                 if leq(y, x):
                     yield _order_broken(s, y, iy, x, ix)
-                if joins_in_class(x, y):
+                if join_open and joins_in_class(x, y):
                     yield (
                         f"incomparability invariant broken: images {ix!r} | {iy!r} but "
                         f"join({s.describe(x)}, {s.describe(y)}) stays in the class"
                     )
 
-    def check_new_pair(self, element: object, image: str) -> None:
+    def check_new_pair(
+        self, element: object, image: str,
+        outside: Container = frozenset(), siblings: tuple = (),
+    ) -> None:
         """Both invariants against the placed pairs, before insertion, image
         group by image group; a failure raises the first pairwise violation,
-        in placement order."""
+        in placement order.
+
+        ``outside`` and ``siblings`` hold placed elements whose join with
+        ``element`` the caller has already seen leave the class; those
+        `joins_in_class` questions are not asked again.  `build_pmorphism`
+        passes each split half the avoid set its contract check asked
+        about, and the second half also the first as a sibling.
+        """
         if not any(
-            any(self._violations(other_image, others, image, (element,)))
+            any(self._violations(other_image, others, image, (element,), outside, siblings))
             for other_image, others in self.groups.items()
         ):
             return
         for other, other_image in self._pairs.items():
-            for message in self._violations(other_image, (other,), image, (element,)):
+            for message in self._violations(
+                other_image, (other,), image, (element,), outside, siblings
+            ):
                 raise InvariantViolation(message)
 
     def check_invariants(self) -> Report:
@@ -463,11 +495,18 @@ def build_pmorphism(
     to be a chain), and the even requirement splits it into preimages of
     its image's two children, skipped when the image is already maximal
     in 2^{<height}.  Every stage re-establishes both invariants or aborts.
+
+    A step asks each `joins_in_class` question once: the split's contract
+    check asks it of each half against every avoid element and of the two
+    halves, all False or the build aborts, so placing the halves does not
+    ask those again.  Every other answer is asked for, none is inferred.
     """
     if height < 1:
         raise InputError(f"target height must be >= 1, got {height}")
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_BUILD_STEPS:
+        raise CapacityError(f"build steps guard: {steps} > {MAX_BUILD_STEPS}")
     alpha = PartialHomomorphism(structure, height)
     alpha.place(structure.least(), "", "R0")
 
@@ -520,12 +559,12 @@ def build_pmorphism(
                 f"split oracle broke its contract at stage R{2 * k + 2}: "
                 + "; ".join(oracle_report.violations)
             )
-        for h, child in ((h0, child0), (h1, child1)):
+        for h, child, siblings in ((h0, child0, ()), (h1, child1, (h0,))):
             if h in alpha.pairs:
                 raise InvariantViolation(
                     f"split oracle returned an already-placed element at stage R{2 * k + 2}"
                 )
-            alpha.place(h, child, f"R{2 * k + 2}")
+            alpha.place(h, child, f"R{2 * k + 2}", avoid, siblings)
 
     return alpha
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -325,6 +326,19 @@ class TestSplit:
         else:
             assert "incomplete" in captured.out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build", "--steps", "1000000000"], "build steps guard: 1000000000 > 4096"),
+            (["verify", "--depth", "128"], "verify depth guard: 128 > 64"),
+        ],
+    )
+    def test_size_guards_exit_two_at_once(self, argv, message, capsys):
+        start = time.perf_counter()
+        assert main(["split", *argv]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_tree_height_guard_comes_before_the_build(self, tmp_path, monkeypatch, capsys):
         def never(*args):
             raise AssertionError("build_pmorphism was called")
@@ -572,7 +586,7 @@ class TestUsage:
         assert "Traceback (most recent call last)" in captured.err
 
     def test_failed_build_invariant_exits_three(self, monkeypatch, capsys):
-        def refuse(self, element, image):
+        def refuse(self, element, image, outside=frozenset(), siblings=()):
             raise InvariantViolation("forced failure")
 
         monkeypatch.setattr(splitting.PartialHomomorphism, "check_new_pair", refuse)

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsem.documents import trace_lines
-from ordsem.errors import InputError, InvariantViolation, Report, StagingError
+from ordsem.errors import CapacityError, InputError, InvariantViolation, Report, StagingError
 from ordsem.morphism import verify_pmorphism
 from ordsem.splitting import (
+    MAX_BUILD_STEPS,
+    MAX_VERIFY_DEPTH,
     PartialHomomorphism,
     SplittingStructure,
     SyntheticAntichainModel,
@@ -133,12 +135,18 @@ class TestAmbientOrder:
             return len(s) <= len(t) and t[: len(s)] == s
 
         rng = random.Random(11)
-        longer = set()
+        longer, tips = set(), []
         for _ in range(12):
             s = tuple(rng.randrange(3) for _ in range(7))
             longer.update(ac(s[:n]) for n in range(3, 8))
+            tips.append(s)
         model = SyntheticAntichainModel()
-        universe = bounded_universe() + sorted(longer, key=sorted)
+        # the fast paths take a singleton pair by unpacking it; the empty
+        # antichain and a singleton against a larger antichain, either way
+        # round, must reach the generic definitions
+        spread = [ac(s, t) for s, t in zip(tips, tips[1:]) if s != t]
+        universe = [frozenset()] + bounded_universe() + sorted(longer, key=sorted) + spread
+        assert {len(a) for a in universe} == {0, 1, 2, 3}
         for a in universe:
             for b in universe:
                 for s in a:
@@ -431,6 +439,54 @@ class TestBuild:
             _, f, avoid = model.log[start]
             asked = set(model.log[start + 1 : end])
             assert not any((g, f) in asked for g in avoid)
+
+    def test_each_join_question_once_per_step(self):
+        # a step starts at each enumerate call; placing the split halves
+        # reuses the contract check's join answers, and asks nothing new
+        class Recording(SyntheticAntichainModel):
+            def __init__(self):
+                super().__init__(seed=7)
+                self.steps = [[]]
+
+            def enumerate(self, i):
+                self.steps.append([])
+                return super().enumerate(i)
+
+            def leq(self, a, b):
+                self.steps[-1].append(("leq", a, b))
+                return super().leq(a, b)
+
+            def joins_in_class(self, a, b):
+                self.steps[-1].append(("join", frozenset((a, b))))
+                return super().joins_in_class(a, b)
+
+        model = Recording()
+        alpha = build_pmorphism(model, 5, 100)
+        assert len(model.steps) == 101
+        for step in model.steps:
+            joins = [question for question in step if question[0] == "join"]
+            assert len(joins) == len(set(joins))
+        # distinct questions per step, summed over the build, and the full
+        # check's question count, both measured before the answers were reused
+        assert sum(len(set(step)) for step in model.steps) == 54180
+        model.steps = [[]]
+        assert alpha.check_invariants().ok
+        assert len(model.steps[0]) == 41196
+
+    def test_size_guards_come_before_the_oracle(self):
+        class Untouchable(SyntheticAntichainModel):
+            def asked(self, *args):
+                raise AssertionError("the oracle was asked")
+
+            least = enumerate = leq = joins_in_class = split = asked
+
+        with pytest.raises(CapacityError, match=r"^build steps guard: 4097 > 4096$"):
+            build_pmorphism(Untouchable(), 2, MAX_BUILD_STEPS + 1)
+        with pytest.raises(CapacityError, match=r"^verify depth guard: 65 > 64$"):
+            verify_splitting_class(Untouchable(), MAX_VERIFY_DEPTH + 1)
+        # the largest build allowed runs; at height 1 each step only places
+        alpha = build_pmorphism(SyntheticAntichainModel(), 1, MAX_BUILD_STEPS)
+        assert len(alpha.pairs) == MAX_BUILD_STEPS
 
     def test_trace_records_stages(self):
         model = SyntheticAntichainModel()
