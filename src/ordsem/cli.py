@@ -156,6 +156,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         return _report_exit(report, args.json, f"splitting-class depth={args.depth}")
     if args.height > semantics.MAX_TREE_HEIGHT:  # the packaged map's target, refused before the build
         raise CapacityError(f"tree height guard: {args.height} > {semantics.MAX_TREE_HEIGHT}")
+    splitting._check_build_arguments(args.height, args.steps)
     if args.trace is not None:  # an unwritable path fails before the build, not after it
         documents.write(args.trace, "")
     model = splitting.SyntheticAntichainModel(seed=args.seed)

@@ -128,7 +128,7 @@ class Upset:
     def __post_init__(self) -> None:
         if self.mask & ~self.poset.full_mask:
             raise InputError("upset mentions unknown elements")
-        if not _is_upset_mask(self.poset, self.mask):
+        if closure_mask(self.poset, self.mask) != self.mask:
             members = self.poset.labels_of(self.mask)
             raise InputError(f"{members} is not upward closed")
 
@@ -140,24 +140,15 @@ class Upset:
         return (self.mask >> self.poset.index_of(label)) & 1 == 1
 
 
-def _is_upset_mask(poset: Poset, mask: int) -> bool:
-    for i in bits(mask):
-        if poset.up[i] & ~mask:
-            return False
-    return True
-
-
 def is_upset(poset: Poset, subset: Iterable[str]) -> bool:
     """True iff the subset is upward closed in the poset."""
-    return _is_upset_mask(poset, poset.mask_of(subset))
+    mask = poset.mask_of(subset)
+    return closure_mask(poset, mask) == mask
 
 
 def upward_closure(poset: Poset, subset: Iterable[str]) -> Upset:
     """Least upset containing the subset (union of the members' up-cones)."""
-    mask = 0
-    for label in subset:
-        mask |= poset.up[poset.index_of(label)]
-    return Upset(poset, mask)
+    return Upset(poset, closure_mask(poset, poset.mask_of(subset)))
 
 
 def closure_mask(poset: Poset, mask: int) -> int:
@@ -170,28 +161,20 @@ def closure_mask(poset: Poset, mask: int) -> int:
 def upset_masks(poset: Poset) -> tuple[int, ...]:
     """All upward-closed subsets as masks, ascending; includes 0 and X.
 
-    Elements are decided maximal-first, so only genuine upsets are built;
-    the poset must stay within the enumeration guard.
+    Elements are visited by up-cone size, then index, which puts each one
+    after all of its strict successors.  So when element i is reached, the
+    upsets found so far are those of the elements already visited, and
+    adding i to each of them that holds i's strict successors builds every
+    new upset exactly once.  The poset must stay within the enumeration guard.
     """
     if poset.n > MAX_UPSET_ELEMENTS:
         raise CapacityError(
             f"upset enumeration guard: {poset.n} elements > {MAX_UPSET_ELEMENTS}"
         )
-    # Sorting by up-cone size puts every element after all of its strict
-    # successors, so inclusion of i only needs already-decided elements.
-    order = sorted(range(poset.n), key=lambda i: (bin(poset.up[i]).count("1"), i))
-    found: list[int] = []
-
-    def extend(pos: int, current: int) -> None:
-        if pos == len(order):
-            found.append(current)
-            return
-        i = order[pos]
-        extend(pos + 1, current)
-        if not (poset.up[i] & ~(current | (1 << i))):
-            extend(pos + 1, current | (1 << i))
-
-    extend(0, 0)
+    found = [0]
+    for i in sorted(range(poset.n), key=lambda i: (poset.up[i].bit_count(), i)):
+        above = poset.up[i] & ~(1 << i)
+        found += [mask | 1 << i for mask in found if not above & ~mask]
     return tuple(sorted(found))
 
 

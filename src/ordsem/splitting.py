@@ -484,6 +484,16 @@ class PartialHomomorphism:
         }
 
 
+def _check_build_arguments(height: int, steps: int) -> None:
+    """Refuse a build's arguments before anything is asked or written."""
+    if height < 1:
+        raise InputError(f"target height must be >= 1, got {height}")
+    if steps < 1:
+        raise InputError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_BUILD_STEPS:
+        raise CapacityError(f"build steps guard: {steps} > {MAX_BUILD_STEPS}")
+
+
 def build_pmorphism(
     structure: SplittingStructure, height: int, steps: int
 ) -> PartialHomomorphism:
@@ -501,12 +511,7 @@ def build_pmorphism(
     halves, all False or the build aborts, so placing the halves does not
     ask those again.  Every other answer is asked for, none is inferred.
     """
-    if height < 1:
-        raise InputError(f"target height must be >= 1, got {height}")
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
-    if steps > MAX_BUILD_STEPS:
-        raise CapacityError(f"build steps guard: {steps} > {MAX_BUILD_STEPS}")
+    _check_build_arguments(height, steps)
     alpha = PartialHomomorphism(structure, height)
     alpha.place(structure.least(), "", "R0")
 

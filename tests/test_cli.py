@@ -339,15 +339,26 @@ class TestSplit:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_tree_height_guard_comes_before_the_build(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--height", "11", "--steps", "1600"], "tree height guard: 11 > 10"),
+            (["--steps", "5000"], "build steps guard: 5000 > 4096"),
+            (["--steps", "0"], "steps must be >= 1, got 0"),
+            (["--height", "0"], "target height must be >= 1, got 0"),
+        ],
+        ids=["height-11", "steps-5000", "steps-0", "height-0"],
+    )
+    def test_build_guards_come_before_the_trace_and_the_build(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
         def never(*args):
             raise AssertionError("build_pmorphism was called")
 
         monkeypatch.setattr(splitting, "build_pmorphism", never)
         trace = tmp_path / "trace.ndjson"
-        argv = ["split", "build", "--height", "11", "--steps", "1600", "--seed", "1"]
-        assert main([*argv, "--trace", str(trace)]) == 2
-        assert capsys.readouterr().err == "error: tree height guard: 11 > 10\n"
+        assert main(["split", "build", *argv, "--seed", "1", "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not trace.exists()
 
     def test_deterministic_output(self, capsys):

@@ -24,6 +24,7 @@ from ordsem.order import (
     upset_masks,
     upward_closure,
 )
+from ordsem.semantics import binary_tree_frame
 
 
 def brute_force_upsets(poset):
@@ -196,9 +197,25 @@ class TestEnumerateUpsets:
         assert len(enumerate_upsets(antichain2)) == 4
 
     def test_against_brute_force(self):
-        for poset in generate_posets(4):
+        # the order is pinned too: carrier and theory value indices read it
+        def closed_masks(poset):
+            return [
+                mask
+                for mask in range(1 << poset.n)
+                if all(poset.up[i] & ~mask == 0 for i in range(poset.n) if mask >> i & 1)
+            ]
+
+        small = [poset for n in range(1, 5) for poset in generate_posets(n)]
+        for poset in small:
             got = {frozenset(u.members) for u in enumerate_upsets(poset)}
             assert got == brute_force_upsets(poset)
+        labels = [f"x{i}" for i in range(12)]
+        chain = from_relation(labels, zip(labels, labels[1:]))
+        antichain = from_relation(labels, [])
+        tree = binary_tree_frame(4)
+        for poset in [*small, *random_posets(5, 200, seed=5), tree, chain, antichain]:
+            assert list(upset_masks(poset)) == closed_masks(poset)
+        assert len(upset_masks(tree)) == 677
 
     def test_every_member_is_upset(self, diamond):
         for upset in enumerate_upsets(diamond):
